@@ -480,30 +480,21 @@ func (s *server) serveCommand(w *bufio.Writer, enc *json.Encoder, fields []strin
 }
 
 func (s *server) serveRoute(w *bufio.Writer, enc *json.Encoder, u, v compactroute.Vertex) {
-	var rep routeReply
+	var res compactroute.ServeResult
 	if s.live != nil {
-		res := s.live.Route(u, v)
-		if res.Err != nil {
-			s.errLine(w, enc, "route", res.Err)
-			return
-		}
-		rep = routeReply{Op: "route", Src: int(u), Dst: int(v), Hops: res.Hops,
-			Weight: res.Weight, Header: res.HeaderWords,
-			Stale: res.Stale(), Detours: res.Detours, Fallback: res.Fallback}
-		if s.verify {
-			rep.Dist = s.paths.Dist(u, v)
-		}
+		res = s.live.Route(u, v)
 	} else {
-		res := s.eng.Route(u, v)
-		if res.Err != nil {
-			s.errLine(w, enc, "route", res.Err)
-			return
-		}
-		rep = routeReply{Op: "route", Src: int(u), Dst: int(v), Hops: res.Hops,
-			Weight: res.Weight, Header: res.HeaderWords}
-		if s.verify {
-			rep.Dist = res.Dist
-		}
+		res = s.eng.Route(u, v)
+	}
+	if res.Err != nil {
+		s.errLine(w, enc, "route", res.Err)
+		return
+	}
+	rep := routeReply{Op: "route", Src: int(u), Dst: int(v), Hops: res.Hops,
+		Weight: res.Weight, Header: res.HeaderWords,
+		Stale: res.Stale(), Detours: res.Detours, Fallback: res.Fallback}
+	if s.verify {
+		rep.Dist = res.Dist
 	}
 	if s.verify && rep.Dist > 0 {
 		rep.Stretch = rep.Weight / rep.Dist

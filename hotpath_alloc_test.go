@@ -12,6 +12,7 @@ import (
 // their scratch packets and the result buffer is preallocated, neither the
 // batched Query path nor the single-query Route path may allocate, for the
 // headline scheme (thm11), the Thorup-Zwick baseline and the exact baseline.
+// The live engine on an empty overlay is pinned the same way.
 func TestQueryHotPathAllocs(t *testing.T) {
 	g, err := compactroute.GNM(96, 384, 3, true, 8)
 	if err != nil {
@@ -78,6 +79,44 @@ func TestQueryHotPathAllocs(t *testing.T) {
 				i++
 			}); allocs != 0 {
 				t.Errorf("Engine.Route (warm): %v allocs/op, want 0", allocs)
+			}
+
+			// The live engine on an empty overlay runs the same core and hop
+			// loop, with the overlay as the loop's edge hook.
+			if raceEnabled {
+				t.Skip("race instrumentation drops pooled scratch; allocs/op is only meaningful without -race")
+			}
+			l, err := compactroute.ServeLive(s, compactroute.LiveServeOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			lout := make([]compactroute.LiveResult, len(pairs))
+			for i := 0; i < 4; i++ {
+				l.Query(pairs, lout)
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				l.Query(pairs, lout)
+			}); allocs != 0 {
+				t.Errorf("Live.Query (warm, empty overlay): %v allocs/op, want 0", allocs)
+			}
+			for i := range lout {
+				if lout[i].Err != nil || lout[i].Stale() {
+					t.Fatalf("live pair %v: err %v, stale %v", pairs[i], lout[i].Err, lout[i].Stale())
+				}
+				if lout[i].Hops != out[i].Hops || lout[i].Weight != out[i].Weight {
+					t.Fatalf("live pair %v: (%d, %v) != engine (%d, %v)",
+						pairs[i], lout[i].Hops, lout[i].Weight, out[i].Hops, out[i].Weight)
+				}
+			}
+			for i := 0; i < 32; i++ {
+				l.Route(pairs[i][0], pairs[i][1])
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				l.Route(pairs[i%len(pairs)][0], pairs[i%len(pairs)][1])
+				i++
+			}); allocs != 0 {
+				t.Errorf("Live.Route (warm, empty overlay): %v allocs/op, want 0", allocs)
 			}
 		})
 	}

@@ -42,19 +42,18 @@ type Result struct {
 // graph.
 func (r Result) Stale() bool { return r.DeadHits > 0 || r.Fallback }
 
-// Router executes one preprocessed scheme hop by hop against the current
-// effective graph: scheme decisions are taken verbatim while their edges are
-// alive (at current weights), dead edges are bypassed with bounded local
-// search, and a per-query exact search finishes any route the scheme can no
-// longer complete. A Router is immutable and safe for concurrent use; the
-// overlay it consults is shared and live.
+// Router executes one preprocessed scheme against the current effective
+// graph through simnet's hop loop with the overlay as its edge hook: scheme
+// decisions are taken verbatim while their edges are alive (at current
+// weights), dead edges are bypassed with bounded local search, and a
+// per-query exact search finishes any route the scheme can no longer
+// complete. A Router is immutable and safe for concurrent use; the overlay
+// it consults is shared and live.
 type Router struct {
-	scheme  simnet.Scheme
-	phaser  simnet.PhaseReporter // non-nil when scheme reports routing phases
-	g       *graph.Graph
-	ov      *Overlay
-	budget  int
-	maxHops int
+	nw     *simnet.Network
+	scheme simnet.Scheme
+	ov     *Overlay
+	budget int
 }
 
 // NewRouter wraps a preprocessed scheme for overlay-patched execution.
@@ -62,23 +61,59 @@ type Router struct {
 // default of 8n+64. The scheme's graph must have the overlay's vertex count
 // (schemes of any generation route against the same vertex set).
 func NewRouter(s simnet.Scheme, ov *Overlay, budget, maxHops int) (*Router, error) {
-	g := s.Graph()
-	if g.N() != ov.N() {
-		return nil, fmt.Errorf("live: scheme graph has %d vertices, overlay %d", g.N(), ov.N())
+	if s.Graph().N() != ov.N() {
+		return nil, fmt.Errorf("live: scheme graph has %d vertices, overlay %d", s.Graph().N(), ov.N())
 	}
 	if budget <= 0 {
 		budget = DefaultDetourBudget
 	}
-	if maxHops <= 0 {
-		maxHops = 8*g.N() + 64
+	var opts []simnet.Option
+	if maxHops > 0 {
+		opts = append(opts, simnet.WithMaxHops(maxHops))
 	}
-	r := &Router{scheme: s, g: g, ov: ov, budget: budget, maxHops: maxHops}
-	r.phaser, _ = s.(simnet.PhaseReporter)
-	return r, nil
+	return &Router{nw: simnet.NewNetwork(s, opts...), scheme: s, ov: ov, budget: budget}, nil
 }
 
 // Scheme returns the preprocessed scheme being patched.
 func (r *Router) Scheme() simnet.Scheme { return r.scheme }
+
+// Scratch is the reusable per-route state of RouteInto: the scheme's packet
+// and the edge hook's position and counters. The zero value is ready; a
+// Scratch serves one route at a time.
+type Scratch struct {
+	pkt  simnet.Packet
+	hook hook
+}
+
+// hook is the overlay's simnet.EdgeHook for one route: it charges alive
+// edges their current weight, bypasses dead ones with a bounded detour, and
+// tracks the packet's position so a stopped walk can be finished exactly.
+type hook struct {
+	ov                            *Overlay
+	budget                        int
+	at                            graph.Vertex
+	deadHits, detours, detourHops int
+}
+
+// Cross implements simnet.EdgeHook.
+func (h *hook) Cross(at, next graph.Vertex, w float64, tr *obs.Trace) (float64, int, bool) {
+	if ew, alive := h.ov.EffectiveWeight(at, next, w); alive {
+		h.at = next
+		return ew, 1, true
+	}
+	h.deadHits++
+	if tr != nil {
+		tr.Step(int32(at), obs.PhaseDetour)
+	}
+	path, pw, ok := h.ov.detour(at, next, h.budget, false)
+	if !ok {
+		return 0, 0, false
+	}
+	h.detours++
+	h.detourHops += len(path) - 1
+	h.at = next
+	return pw, len(path) - 1, true
+}
 
 // Route serves one query. Every returned route is a real walk in the
 // effective graph with its current weights; when the scheme alone cannot
@@ -86,95 +121,56 @@ func (r *Router) Scheme() simnet.Scheme { return r.scheme }
 // says so. Err is non-nil only for invalid pairs, truly unreachable
 // destinations, or a scheme that misbehaves beyond repair.
 func (r *Router) Route(src, dst graph.Vertex) Result {
-	return r.RouteTraced(src, dst, nil)
+	var sc Scratch
+	return r.RouteInto(&sc, src, dst, nil)
 }
 
-// RouteTraced is Route with an optional trace recorder: each hop records the
-// scheme phase about to act (via the scheme's PhaseReporter, if implemented),
-// and overlay interventions record PhaseDetour / PhaseFallback steps. A nil
-// tr takes the exact untraced path.
-func (r *Router) RouteTraced(src, dst graph.Vertex, tr *obs.Trace) Result {
+// RouteInto is Route with caller-owned scratch, reused across routes (a
+// warm Scratch routes a reuse-capable scheme without allocating), and an
+// optional trace recorder: each hop records the scheme phase about to act,
+// and overlay interventions record PhaseDetour / PhaseFallback steps.
+func (r *Router) RouteInto(sc *Scratch, src, dst graph.Vertex, tr *obs.Trace) Result {
 	res := Result{Src: src, Dst: dst}
-	if n := graph.Vertex(r.g.N()); src < 0 || src >= n || dst < 0 || dst >= n {
+	if n := graph.Vertex(r.ov.N()); src < 0 || src >= n || dst < 0 || dst >= n {
 		res.Err = fmt.Errorf("live: pair (%d, %d) out of range [0, %d)", src, dst, n)
 		return res
 	}
-	pkt, err := r.scheme.Prepare(src, dst)
-	if err != nil {
-		// A scheme that cannot even prepare (should not happen on its own
-		// graph) still gets the query answered exactly.
-		return r.fallbackTraced(res, src, dst, tr)
+	sc.hook = hook{ov: r.ov, budget: r.budget, at: src}
+	walk, pkt, err := r.nw.RouteHooked(src, dst, sc.pkt, tr, &sc.hook)
+	if pkt != nil {
+		sc.pkt = pkt
 	}
-	res.HeaderWords = r.scheme.HeaderWords(pkt)
-	at := src
-	for {
-		if tr != nil {
-			ph := obs.PhaseNone
-			if r.phaser != nil {
-				ph = r.phaser.RoutePhase(pkt)
-			}
-			tr.Step(int32(at), ph)
-		}
-		d, err := r.scheme.Next(at, pkt)
-		if err != nil {
-			return r.fallbackTraced(res, at, dst, tr)
-		}
-		if hw := r.scheme.HeaderWords(pkt); hw > res.HeaderWords {
-			res.HeaderWords = hw
-		}
-		if d.Deliver {
-			if at != dst {
-				res.Err = fmt.Errorf("live: packet %d->%d delivered at wrong vertex %d", src, dst, at)
-			}
-			return res
-		}
-		if d.Port < 0 || int(d.Port) >= r.g.Degree(at) {
-			return r.fallbackTraced(res, at, dst, tr)
-		}
-		next, baseW, _ := r.g.Endpoint(at, d.Port)
-		ew, alive := r.ov.EffectiveWeight(at, next, baseW)
-		if alive {
-			res.Hops++
-			res.Weight += ew
-			at = next
-		} else {
-			res.DeadHits++
-			if tr != nil {
-				tr.Step(int32(at), obs.PhaseDetour)
-			}
-			path, pw, ok := r.ov.detour(at, next, r.budget, false)
-			if !ok {
-				return r.fallbackTraced(res, at, dst, tr)
-			}
-			res.Detours++
-			res.DetourHops += len(path) - 1
-			res.Hops += len(path) - 1
-			res.Weight += pw
-			at = next
-		}
-		if res.Hops > r.maxHops {
-			return r.fallbackTraced(res, at, dst, tr)
-		}
+	h := &sc.hook
+	res.Hops, res.Weight, res.HeaderWords = walk.Hops, walk.Weight, walk.HeaderWords
+	res.DeadHits, res.Detours, res.DetourHops = h.deadHits, h.detours, h.detourHops
+	switch {
+	case err == nil:
+	case errors.Is(err, simnet.ErrMisdelivered):
+		res.Err = fmt.Errorf("live: %w", err)
+	default:
+		// The scheme failed on its own state, a detour ran out of budget,
+		// or the hop budget ran out: finish exactly from where it stopped.
+		r.fallback(&res, h.at, tr)
 	}
+	return res
 }
 
-// fallbackTraced completes the route from the packet's current position with
-// one exact search over the effective graph.
-func (r *Router) fallbackTraced(res Result, at, dst graph.Vertex, tr *obs.Trace) Result {
+// fallback completes the route from the packet's current position with one
+// exact search over the effective graph.
+func (r *Router) fallback(res *Result, at graph.Vertex, tr *obs.Trace) {
 	res.Fallback = true
 	if tr != nil {
 		tr.Step(int32(at), obs.PhaseFallback)
 		tr.Fallback = true
 	}
-	if at == dst {
-		return res
+	if at == res.Dst {
+		return
 	}
-	path, w, ok := r.ov.exact(at, dst)
+	path, w, ok := r.ov.exact(at, res.Dst)
 	if !ok {
-		res.Err = fmt.Errorf("live: routing %d->%d: %w", res.Src, dst, ErrUnreachable)
-		return res
+		res.Err = fmt.Errorf("live: routing %d->%d: %w", res.Src, res.Dst, ErrUnreachable)
+		return
 	}
 	res.Hops += len(path) - 1
 	res.Weight += w
-	return res
 }

@@ -16,11 +16,14 @@ import (
 
 // registerObs exposes the engine on reg. Called once from New.
 func (e *Engine) registerObs(reg *obs.Registry) {
-	reg.OnCollect(func() {
-		e.obsCnt = e.merged()
-		e.obsStats = e.obsCnt.finalize(e.start.Load())
-	})
+	reg.OnCollect(e.collect)
 	registerBase(reg, e.scheme, len(e.shards), &e.obsCnt, &e.obsStats)
+}
+
+// collect refreshes the merged snapshot behind the registered instruments.
+func (c *core) collect() {
+	c.obsCnt = c.merged()
+	c.obsStats = c.obsCnt.finalize(c.start.Load())
 }
 
 // registerBase registers the metric families shared by Engine and Live,
@@ -157,14 +160,13 @@ func latSnapshot(c *counters) obs.HistSnapshot {
 // the churn/repair/generation lifecycle. Called once from NewLiveWithOverlay.
 func (l *Live) registerObs(reg *obs.Registry) {
 	reg.OnCollect(func() {
-		l.obsCnt, l.obsLv = l.merged()
-		l.obsStats = l.obsCnt.finalize(l.start.Load())
+		l.collect()
 		l.lastInfoMu.Lock()
 		l.obsInfo = l.lastInfo
 		l.lastInfoMu.Unlock()
 	})
 	registerBase(reg, l.Scheme(), len(l.shards), &l.obsCnt, &l.obsStats)
-	lv := &l.obsLv
+	lv := &l.obsCnt
 
 	reg.GaugeFunc("compactroute_live_generation",
 		"Id of the serving generation (0 until the first swap).",

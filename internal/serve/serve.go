@@ -1,23 +1,30 @@
-// Package serve is the concurrent route-serving engine: it answers
-// route(u, v) queries against one preprocessed (typically snapshot-loaded)
-// scheme from many workers at once, and keeps live serving statistics.
+// Package serve answers route(u, v) queries from many workers at once and
+// keeps serving statistics. It has one serving core and two front ends.
 //
-// A preprocessed Scheme is read-only at query time (simnet.Scheme requires
-// Prepare/Next to be purely local computations over immutable tables), so
-// the engine shards nothing but scratch: each shard owns a simnet.Network
-// handle, a persistent worker goroutine with a private scratch packet, and
-// its own statistics block - the same own-your-slot idiom the construction
-// pipeline (internal/parallel) and the search kernels (graph.Workspace
-// pooling) use - and queries never contend on shared mutable state. The
-// batched Query path routes with zero steady-state allocations: packets are
-// reused through simnet.RouteReuse, batch bookkeeping is pooled, and stats
-// are folded into the shard block in chunks instead of per query.
-// Statistics are merged on demand by Stats.
+// The core owns the shards: each is a persistent worker goroutine with
+// private scratch (a reused packet, and on the live front end the overlay
+// hook's counters) and its own statistics block - the same own-your-slot
+// idiom the construction pipeline (internal/parallel) and the search kernels
+// (graph.Workspace pooling) use - so queries never contend on shared mutable
+// state. A batched Query is split into contiguous blocks handed to the shard
+// workers; stats are folded into the shard block in chunks instead of per
+// query and merged on demand by Stats. Both entry points (Query and the
+// single-query Route) funnel through one routeOne, so sampling, verification
+// and audit attribution cannot diverge, and a warm engine routes without
+// allocating.
 //
-// The evaluation harness (compactroute.EvaluateBatched) is a client of this
-// engine, so offline evaluation and online serving exercise the same code
-// path; cmd/routeserve drives it from a snapshot over a line/JSON protocol
-// and a built-in closed-loop load generator.
+// The front ends differ only in how one pair is walked. Engine serves one
+// immutable preprocessed scheme through simnet's hop loop. Live serves a
+// scheme while the graph churns underneath it: the same hop loop runs with
+// the edge-delta overlay as its per-hop edge hook (live.Router), behind
+// RCU-refcounted generations that rebuild, repair and hot-swap in the
+// background, with a per-route clean check deciding whether a delivery is
+// held to the proved stretch bound or accounted as staleness.
+//
+// The evaluation harness (compactroute.EvaluateBatched) is a client of the
+// Engine, so offline evaluation and online serving exercise the same code
+// path; cmd/routeserve drives both front ends from a snapshot over a
+// line/JSON protocol and a built-in closed-loop load generator.
 package serve
 
 import (
@@ -43,12 +50,15 @@ type Options struct {
 	// shard count matches the core count).
 	Workers int
 	// Verify looks up the true shortest distance of every delivered query
-	// in Paths and checks the routed weight against the scheme's proved
+	// and checks the routed weight against the scheme's proved
 	// StretchBound, feeding the stretch histogram and violation counter.
 	Verify bool
-	// Paths supplies true distances when Verify is set (dense or lazy; a
-	// LazyAPSP is concurrency-safe and is the natural choice in a serving
-	// process, which has no dense matrices).
+	// Paths, when set, supplies the true distances Verify checks against
+	// (dense or lazy; a LazyAPSP is concurrency-safe). When nil, Verify
+	// proves them with the bounded bidirectional kernel instead, bounded by
+	// the routed weight, which always covers the true distance of a
+	// delivered route. Repo graphs carry integer weights, so both sources
+	// give bit-identical statistics.
 	Paths graph.PathSource
 	// MaxHops overrides the simulator's loop-protection hop limit
 	// (0 keeps the simnet default of 8n+64).
@@ -70,14 +80,6 @@ type Options struct {
 	// hash-based selection; see obs.TraceSink). Untraced queries pay one
 	// hash and one branch; a nil Trace pays one nil check.
 	Trace *obs.TraceSink
-	// VerifyBidi makes Verify compute true distances with the bounded
-	// bidirectional kernel (bound = the routed weight, which always covers
-	// the true distance of a delivered route) instead of a PathSource row.
-	// Repo graphs carry integer weights, so the distances - and therefore
-	// every violation/stretch statistic - are bit-identical between the two
-	// modes; Paths becomes optional and is consulted only as a fallback for
-	// the cases the bound genuinely cuts (never a delivered route).
-	VerifyBidi bool
 	// Audit, when non-nil, shadow-verifies a deterministic sample of
 	// delivered queries off the hot path through the bounded bidirectional
 	// kernel (see Auditor). New starts the auditor against this engine; one
@@ -100,11 +102,24 @@ type Result struct {
 	Hops        int
 	HeaderWords int
 	Weight      float64
-	// Dist is the true shortest distance, looked up only under
-	// Options.Verify; -1 otherwise.
+	// Dist is the true shortest distance (in the effective graph, on Live),
+	// looked up only under Verify; -1 otherwise.
 	Dist float64
-	Err  error
+	// DeadHits counts scheme decisions that chose a dead edge; Detours of
+	// them were bypassed by bounded local search, DetourHops long in total;
+	// Fallback reports a route completed by a per-query exact search. All
+	// stay zero on Engine, which serves an unchanging graph.
+	DeadHits   int
+	Detours    int
+	DetourHops int
+	Fallback   bool
+	Err        error
 }
+
+// Stale reports whether a route was served degraded: it crossed at least
+// one overlay-patched decision (detour or fallback). A non-stale route is
+// exactly the walk the preprocessed scheme takes on its own graph.
+func (r Result) Stale() bool { return r.DeadHits > 0 || r.Fallback }
 
 // Histogram geometry of the serving statistics.
 const (
@@ -190,22 +205,24 @@ type counters struct {
 	hopHist     [hopBuckets + 1]uint64
 	stretchHist [StretchBuckets + 1]uint64
 	latHist     [latBuckets + 1]uint64
+
+	// Churn accounting, fed only by Live: overlay interventions, and the
+	// measured staleness stretch of deliveries that are not provably clean.
+	deadHits   uint64
+	detours    uint64
+	detourHops uint64
+	fallbacks  uint64
+	stale      uint64
+	maxStale   float64
+	staleHist  [StretchBuckets + 1]uint64
 }
 
-// recordLatency folds one sampled route latency into the block.
-func (c *counters) recordLatency(ns int64) {
-	c.latCount++
-	c.latSum += uint64(ns)
-	c.latHist[latBucket(ns)]++
-}
-
-// shard is one worker lane: a Network handle, the worker's job feed and the
-// privately-owned counters. Shards are allocated separately so two lanes
-// never share a cache line, and the read-mostly dispatch fields are padded
-// away from the mutex/counters the worker and Stats write - the dispatcher
-// of one shard must not false-share with the stats traffic of another.
+// shard is one worker lane: the worker's job feed and the privately-owned
+// counters. Shards are allocated separately so two lanes never share a
+// cache line, and the read-mostly dispatch field is padded away from the
+// mutex/counters the worker and Stats write - the dispatcher of one shard
+// must not false-share with the stats traffic of another.
 type shard struct {
-	nw   *simnet.Network
 	jobs chan batchJob
 	_    [64]byte // keep dispatch reads off the stats line
 	mu   sync.Mutex
@@ -230,10 +247,10 @@ type batchState struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batchState) }}
 
-// closer owns the engine's shutdown state. It is shared by the engine, its
-// workers and the runtime cleanup, and deliberately references neither the
-// Engine nor its shards: the cleanup must be able to fire (and release the
-// workers) once the Engine itself is unreachable.
+// closer owns the shutdown state of a core. It is shared by the core, its
+// workers and the runtime cleanup of the front end, and deliberately
+// references none of them: the cleanup must be able to fire (and release
+// the workers) once the front end itself is unreachable.
 type closer struct {
 	mu     sync.RWMutex
 	closed bool
@@ -249,20 +266,64 @@ func (c *closer) close() {
 	c.mu.Unlock()
 }
 
-// Engine serves route queries for one scheme.
-type Engine struct {
-	scheme simnet.Scheme
-	opts   Options
-	n      graph.Vertex // cached scheme.Graph().N(), off the per-query path
-	shards []*shard
-	cl     *closer
-	// pkts recycles scratch packets of the single-query Route path (batch
-	// workers own their packet outright and never touch the pool).
-	pkts sync.Pool
+// walker is what tells the two front ends apart on the hot path: how one
+// in-range pair is walked, and where the true distance of a delivered route
+// comes from.
+type walker interface {
+	// walk routes src->dst. sc is scratch an earlier walk returned, or nil;
+	// the scratch to reuse next comes back with the outcome. Scratch and
+	// outcome travel by value, so a caller's state stays off the heap.
+	walk(sc any, src, dst graph.Vertex, tr *obs.Trace) (any, walked)
+	// trueDist proves the true distance of a delivered route of the given
+	// weight.
+	trueDist(src, dst graph.Vertex, weight float64) float64
+}
+
+// walked is one walk's outcome: the route fields of its Result, the scheme
+// whose proved bound applies, the live generation the route held (released
+// by routeOne once the route is accounted; nil on Engine), the generation id
+// and overlay version it was routed on, and whether it provably ran clean.
+type walked struct {
+	Result
+	scheme  simnet.Scheme
+	gen     *generation
+	genID   uint64
+	version uint64
+	clean   bool
+}
+
+// account is how one finished route lands in the counters.
+type account struct {
+	timed bool
+	clean bool
+	dt    int64
+	bound float64 // the proved stretch bound at the verified distance
+}
+
+// core is the serving machinery both front ends share: the shard workers,
+// batch dispatch, chunked statistics and the closer. It references neither
+// front-end handle, so a handle dropped without Close becomes unreachable
+// while the workers are parked, and its cleanup can release them.
+type core struct {
+	walk     walker
+	n        graph.Vertex // vertex count, off the per-query path
+	verify   bool
+	failFast bool
+	trace    *obs.TraceSink
+	audit    *Auditor
+	shards   []*shard
+	cl       *closer
 	// start is the QPS clock origin in unix nanoseconds; atomic because
 	// ResetStats may race with Stats on the concurrent engine API.
 	start atomic.Int64
-	rr    atomic.Uint64
+	// rr picks Route's shard. Every Route writes it, so it sits on its own
+	// cache line, away from the fields every route reads.
+	_  [64]byte
+	rr atomic.Uint64
+	_  [64]byte
+	// spare recycles the single-query Route path's walk scratch (batch
+	// workers own theirs outright and never touch the pool).
+	spare sync.Pool
 	// obsCnt/obsStats are the merged snapshot behind the registry's
 	// func-backed instruments; refreshed by the collect hook, read by the
 	// instruments, both under the registry lock (see registerObs).
@@ -270,81 +331,51 @@ type Engine struct {
 	obsStats Stats
 }
 
-// New builds an engine over a preprocessed scheme and starts one worker
-// goroutine per shard. Callers that create engines in a loop should Close
-// them; an engine dropped without Close releases its workers when the
-// garbage collector collects it.
-func New(s simnet.Scheme, o Options) (*Engine, error) {
-	if o.Workers <= 0 {
-		o.Workers = parallel.Workers()
+// newCore completes a core whose front end has set its walker, vertex
+// count and serving switches: it makes the shards and starts one worker
+// goroutine per shard (workers <= 0 selects the package parallelism
+// default).
+func newCore(c *core, workers int, pinWorkers bool) *core {
+	if workers <= 0 {
+		workers = parallel.Workers()
 	}
-	if o.Verify && o.Paths == nil && !o.VerifyBidi {
-		return nil, fmt.Errorf("serve: Verify requires a PathSource (or VerifyBidi)")
+	c.shards = make([]*shard, workers)
+	c.cl = &closer{quit: make(chan struct{})}
+	c.start.Store(time.Now().UnixNano())
+	for i := range c.shards {
+		c.shards[i] = &shard{jobs: make(chan batchJob, 8)}
+		w := &worker{c: c, sh: c.shards[i]}
+		go w.loop(pinWorkers)
 	}
-	var nwOpts []simnet.Option
-	if o.MaxHops > 0 {
-		nwOpts = append(nwOpts, simnet.WithMaxHops(o.MaxHops))
-	}
-	e := &Engine{
-		scheme: s,
-		opts:   o,
-		n:      graph.Vertex(s.Graph().N()),
-		shards: make([]*shard, o.Workers),
-		cl:     &closer{quit: make(chan struct{})},
-	}
-	e.start.Store(time.Now().UnixNano())
-	for i := range e.shards {
-		e.shards[i] = &shard{nw: simnet.NewNetwork(s, nwOpts...), jobs: make(chan batchJob, 8)}
-		w := &worker{sh: e.shards[i], quit: e.cl.quit, scheme: s, n: e.n, opts: o}
-		go w.loop()
-	}
-	if o.Obs != nil {
-		e.registerObs(o.Obs)
-	}
-	if o.Audit != nil {
-		o.Audit.start(staticAuditBackend(s, o.FlightRec))
-	}
-	// Safety net for engines dropped without Close: the workers reference
-	// only their shard and the closer, never the Engine, so the engine
-	// becomes unreachable while they are parked and the cleanup can run.
-	runtime.AddCleanup(e, func(c *closer) { c.close() }, e.cl)
-	return e, nil
+	return c
 }
 
 // Close stops the shard workers. It is idempotent and safe to call
 // concurrently with queries: batches already dispatched are finished, and
 // later Query/Route calls are served inline on the caller's goroutine.
-func (e *Engine) Close() { e.cl.close() }
-
-// Scheme returns the scheme being served.
-func (e *Engine) Scheme() simnet.Scheme { return e.scheme }
+func (c *core) Close() { c.cl.close() }
 
 // Workers returns the number of shards.
-func (e *Engine) Workers() int { return len(e.shards) }
+func (c *core) Workers() int { return len(c.shards) }
 
-// worker is the serving loop state of one shard. It holds copies of the
-// engine fields it needs instead of the Engine itself so the engine's
-// cleanup can fire while workers are parked (see closer).
+// worker is the serving loop state of one shard.
 type worker struct {
-	sh     *shard
-	quit   chan struct{}
-	scheme simnet.Scheme
-	n      graph.Vertex
-	opts   Options
-	pkt    simnet.Packet // worker-owned scratch, reused across every route
-	pend   counters      // stats accumulated since the last flush
-	pendN  int
+	c     *core
+	sh    *shard
+	sc    any      // the walker's scratch, worker-owned and reused by every route
+	pend  counters // stats accumulated since the last flush
+	pendN int
 }
 
-func (w *worker) loop() {
-	if w.opts.PinWorkers {
+func (w *worker) loop(pinThread bool) {
+	if pinThread {
 		runtime.LockOSThread()
 	}
 	for {
 		select {
 		case job := <-w.sh.jobs:
 			w.serve(job)
-		case <-w.quit:
+		case <-w.c.cl.quit:
 			// Drain jobs that were enqueued before the closed flag was
 			// published, so no dispatched batch is left waiting.
 			for {
@@ -360,107 +391,27 @@ func (w *worker) loop() {
 }
 
 // serve routes one job block and signals completion. Pairs aborted by
-// FailFast are not routed and stay out of the statistics, exactly like the
-// per-query engine before batching.
+// FailFast are not routed and stay out of the statistics.
 func (w *worker) serve(job batchJob) {
-	ff := w.opts.FailFast
+	c := w.c
 	for j := range job.pairs {
-		if ff && job.bs.failed.Load() {
-			job.out[j] = Result{Src: job.pairs[j][0], Dst: job.pairs[j][1], Dist: -1, Err: ErrAborted}
+		res := &job.out[j]
+		if c.failFast && job.bs.failed.Load() {
+			*res = Result{Src: job.pairs[j][0], Dst: job.pairs[j][1], Dist: -1, Err: ErrAborted}
 			continue
 		}
-		job.out[j] = w.route(job.pairs[j][0], job.pairs[j][1])
-		if ff && job.out[j].Err != nil {
+		var a account
+		w.sc, a = c.routeOne(w.sc, res, job.pairs[j][0], job.pairs[j][1])
+		w.pend.add(res, a, c.verify)
+		if w.pendN++; w.pendN >= statsChunk {
+			w.flush()
+		}
+		if c.failFast && res.Err != nil {
 			job.bs.failed.Store(true)
 		}
 	}
 	w.flush()
 	job.bs.wg.Done()
-}
-
-// routeOne is the single-query hot path shared by the batch workers and
-// Engine.Route: id validation, deterministic trace and latency sampling, the
-// routed walk, optional verification, and the audit offer. Both entry points
-// funnel through this one function, so audit sampling and stats attribution
-// cannot diverge between them - they differ only in where the finished
-// counters land (the worker's pending block vs. the shard lock) and where
-// the scratch packet lives (worker-owned vs. pooled).
-func routeOne(nw *simnet.Network, scheme simnet.Scheme, n graph.Vertex, o *Options, src, dst graph.Vertex, scratch simnet.Packet) (res Result, pkt simnet.Packet, timed bool, dt int64) {
-	res = Result{Src: src, Dst: dst, Dist: -1}
-	pkt = scratch
-	if src < 0 || src >= n || dst < 0 || dst >= n {
-		res.Err = fmt.Errorf("serve: pair (%d, %d) out of range [0, %d)", src, dst, n)
-		return res, pkt, false, 0
-	}
-	id := obs.QueryID(int32(src), int32(dst))
-	tr := o.Trace.Sample(int32(src), int32(dst))
-	timed = id&latSampleBit == 0
-	var t0 int64
-	if timed {
-		t0 = time.Now().UnixNano()
-	}
-	r, p, err := nw.RouteTraced(src, dst, scratch, tr)
-	if timed {
-		dt = time.Now().UnixNano() - t0
-	}
-	if p != nil {
-		pkt = p
-	}
-	res.Hops, res.Weight, res.HeaderWords = r.Hops, r.Weight, r.HeaderWords
-	res.Err = err
-	if tr != nil {
-		tr.Hops = r.Hops
-		tr.Err = err != nil
-		o.Trace.Done(tr)
-	}
-	if err == nil {
-		if o.Verify {
-			res.Dist = verifyDist(scheme, o, src, dst, r.Weight)
-		}
-		// The static engine serves one immutable generation; audit records
-		// carry generation 0, version 0, clean (the live engine stamps real
-		// generation state in routeOn).
-		o.Audit.offer(id, int32(src), int32(dst), r.Weight, 0, 0, true)
-	}
-	return res, pkt, timed, dt
-}
-
-// verifyDist resolves the true shortest distance for a delivered route. In
-// VerifyBidi mode the bounded bidirectional kernel proves it directly
-// (bound = the routed weight, which a real path always covers); otherwise -
-// or in the impossible-by-invariant cutoff case, kept as a fallback - the
-// PathSource row answers.
-func verifyDist(s simnet.Scheme, o *Options, src, dst graph.Vertex, weight float64) float64 {
-	if o.VerifyBidi {
-		d := s.Graph().BoundedBidiDist(src, dst, weight)
-		if !math.IsInf(d, 1) || o.Paths == nil {
-			return d
-		}
-	}
-	return o.Paths.Dist(src, dst)
-}
-
-// route serves one query on the worker's shard. Vertex ids are validated
-// here - the engine fronts untrusted protocol input, and schemes index
-// their tables with the destination, so an out-of-range id must become a
-// Result error, not a panic.
-func (w *worker) route(src, dst graph.Vertex) Result {
-	res, pkt, timed, dt := routeOne(w.sh.nw, w.scheme, w.n, &w.opts, src, dst, w.pkt)
-	if pkt != nil {
-		w.pkt = pkt
-	}
-	if timed {
-		w.pend.recordLatency(dt)
-	}
-	w.record(&res)
-	return res
-}
-
-func (w *worker) record(res *Result) {
-	w.pend.record(w.scheme, res, w.opts.Verify)
-	if w.pendN++; w.pendN >= statsChunk {
-		w.flush()
-	}
 }
 
 // flush folds the worker's pending counters into the shard block.
@@ -475,49 +426,100 @@ func (w *worker) flush() {
 	w.pendN = 0
 }
 
-func (c *counters) record(s simnet.Scheme, r *Result, verified bool) {
-	if !c.recordBase(r) {
-		return
+// routeOne is the single-query hot path of both front ends and both entry
+// points: id validation, deterministic trace and latency sampling, the
+// walk, optional verification, and the audit offer. It fills res and
+// returns the walker's scratch for the next route and how to account this
+// one; the caller folds that into its counters (the worker's pending block,
+// or the shard block under its lock). Vertex
+// ids are validated here - the engines front untrusted protocol input, and
+// schemes index their tables with the destination, so an out-of-range id
+// must become a Result error, not a panic.
+func (c *core) routeOne(sc any, res *Result, src, dst graph.Vertex) (any, account) {
+	if src < 0 || src >= c.n || dst < 0 || dst >= c.n {
+		*res = Result{Src: src, Dst: dst, Dist: -1,
+			Err: fmt.Errorf("serve: pair (%d, %d) out of range [0, %d)", src, dst, c.n)}
+		return sc, account{}
 	}
-	if !verified {
-		c.unverified++
-		return
+	id := obs.QueryID(int32(src), int32(dst))
+	tr := c.trace.Sample(int32(src), int32(dst))
+	a := account{timed: id&latSampleBit == 0}
+	var t0 int64
+	if a.timed {
+		t0 = time.Now().UnixNano()
 	}
-	c.recordVerified(s, r)
+	sc, w := c.walk.walk(sc, src, dst, tr)
+	if a.timed {
+		a.dt = time.Now().UnixNano() - t0
+	}
+	*res = w.Result
+	res.Src, res.Dst, res.Dist = src, dst, -1
+	if tr != nil {
+		tr.Hops = res.Hops
+		tr.Err = res.Err != nil
+		tr.Stale = res.Stale()
+		c.trace.Done(tr)
+	}
+	a.clean = w.clean
+	if res.Err == nil {
+		if c.verify {
+			res.Dist = c.walk.trueDist(src, dst, res.Weight)
+			if w.clean {
+				a.bound = w.scheme.StretchBound(res.Dist)
+			}
+		}
+		c.audit.offer(id, int32(src), int32(dst), res.Weight, w.genID, w.version, w.clean)
+	}
+	if w.gen != nil {
+		w.gen.release()
+	}
+	return sc, a
 }
 
-// recordBase accounts the query, error and hop counters and reports whether
-// the query was delivered (so the caller decides how to account quality:
-// verified against the proved bound, unverified, or - on the live engine -
-// as a measured staleness stretch).
-func (c *counters) recordBase(r *Result) bool {
+// add accounts one served query. A delivery is checked against the proved
+// stretch bound only when it provably ran clean (always, on Engine); every
+// other verified delivery is measured as staleness stretch instead.
+func (c *counters) add(r *Result, a account, verified bool) {
+	if a.timed {
+		c.latCount++
+		c.latSum += uint64(a.dt)
+		c.latHist[latBucket(a.dt)]++
+	}
+	if r.Stale() { // only a stale route has overlay interventions to count
+		c.deadHits += uint64(r.DeadHits)
+		c.detours += uint64(r.Detours)
+		c.detourHops += uint64(r.DetourHops)
+		if r.Fallback {
+			c.fallbacks++
+		}
+	}
 	c.queries++
 	if r.Err != nil {
 		c.errors++
-		return false
+		return
 	}
 	c.delivered++
 	c.hopsSum += uint64(r.Hops)
-	h := r.Hops
-	if h > hopBuckets {
-		h = hopBuckets
-	}
-	c.hopHist[h]++
-	return true
-}
-
-// recordVerified checks a delivery against the scheme's proved stretch
-// bound and feeds the stretch histogram.
-func (c *counters) recordVerified(s simnet.Scheme, r *Result) {
-	if r.Weight > s.StretchBound(r.Dist)+1e-9 {
-		c.violations++
-	}
-	if r.Dist > 0 {
-		str := r.Weight / r.Dist
-		if str > c.maxStretch {
-			c.maxStretch = str
+	c.hopHist[min(r.Hops, hopBuckets)]++
+	switch {
+	case !verified:
+		c.unverified++
+	case a.clean:
+		if r.Weight > a.bound+1e-9 {
+			c.violations++
 		}
-		c.stretchHist[stretchBucket(str)]++
+		if r.Dist > 0 {
+			str := r.Weight / r.Dist
+			c.maxStretch = max(c.maxStretch, str)
+			c.stretchHist[stretchBucket(str)]++
+		}
+	default:
+		c.stale++
+		if r.Dist > 0 {
+			str := r.Weight / r.Dist
+			c.maxStale = max(c.maxStale, str)
+			c.staleHist[stretchBucket(str)]++
+		}
 	}
 }
 
@@ -534,20 +536,17 @@ func stretchBucket(str float64) int {
 }
 
 // Route serves a single query on the next shard (round robin), recording
-// its stats immediately. Scratch packets come from a pool, so a warm
-// engine routes without allocating.
-func (e *Engine) Route(src, dst graph.Vertex) Result {
-	sh := e.shards[e.rr.Add(1)%uint64(len(e.shards))]
-	scratch, _ := e.pkts.Get().(simnet.Packet)
-	res, pkt, timed, dt := routeOne(sh.nw, e.scheme, e.n, &e.opts, src, dst, scratch)
-	if pkt != nil {
-		e.pkts.Put(pkt)
+// its stats immediately. Scratch comes from a pool, so a warm engine routes
+// without allocating.
+func (c *core) Route(src, dst graph.Vertex) Result {
+	sh := c.shards[c.rr.Add(1)%uint64(len(c.shards))]
+	var res Result
+	sc, a := c.routeOne(c.spare.Get(), &res, src, dst)
+	if sc != nil {
+		c.spare.Put(sc)
 	}
 	sh.mu.Lock()
-	sh.st.record(e.scheme, &res, e.opts.Verify)
-	if timed {
-		sh.st.recordLatency(dt)
-	}
+	sh.st.add(&res, a, c.verify)
 	sh.mu.Unlock()
 	return res
 }
@@ -559,7 +558,7 @@ func (e *Engine) Route(src, dst graph.Vertex) Result {
 // discipline as the batched evaluation engine, which makes the per-pair
 // results independent of the worker count. With a preallocated out and a
 // reuse-capable scheme the steady-state batch path does not allocate.
-func (e *Engine) Query(pairs [][2]graph.Vertex, out []Result) []Result {
+func (c *core) Query(pairs [][2]graph.Vertex, out []Result) []Result {
 	if len(out) < len(pairs) {
 		out = make([]Result, len(pairs))
 	}
@@ -567,24 +566,18 @@ func (e *Engine) Query(pairs [][2]graph.Vertex, out []Result) []Result {
 	if len(pairs) == 0 {
 		return out
 	}
-	w := len(e.shards)
-	if w > len(pairs) {
-		w = len(pairs)
-	}
+	w := min(len(c.shards), len(pairs))
 	chunk := (len(pairs) + w - 1) / w
 	bs := batchPool.Get().(*batchState)
 	bs.failed.Store(false)
 	for i := 0; i < w; i++ {
 		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
+		hi := min(lo+chunk, len(pairs))
 		if lo >= hi {
 			break
 		}
 		bs.wg.Add(1)
-		e.dispatch(e.shards[i], batchJob{pairs: pairs[lo:hi], out: out[lo:hi], bs: bs})
+		c.dispatch(c.shards[i], batchJob{pairs: pairs[lo:hi], out: out[lo:hi], bs: bs})
 	}
 	bs.wg.Wait()
 	batchPool.Put(bs)
@@ -592,20 +585,82 @@ func (e *Engine) Query(pairs [][2]graph.Vertex, out []Result) []Result {
 }
 
 // dispatch hands a job to a shard worker, or serves it inline once the
-// engine is closed. The closer's read lock makes the closed check and the
+// core is closed. The closer's read lock makes the closed check and the
 // channel send atomic with respect to Close, so a job is never parked on a
 // channel no worker will drain.
-func (e *Engine) dispatch(sh *shard, job batchJob) {
-	e.cl.mu.RLock()
-	if e.cl.closed {
-		e.cl.mu.RUnlock()
-		w := worker{sh: sh, scheme: e.scheme, n: e.n, opts: e.opts}
+func (c *core) dispatch(sh *shard, job batchJob) {
+	c.cl.mu.RLock()
+	if c.cl.closed {
+		c.cl.mu.RUnlock()
+		w := worker{c: c, sh: sh}
 		w.serve(job)
 		return
 	}
 	sh.jobs <- job
-	e.cl.mu.RUnlock()
+	c.cl.mu.RUnlock()
 }
+
+// Engine serves route queries for one immutable preprocessed scheme.
+type Engine struct {
+	*core
+	scheme simnet.Scheme
+}
+
+// staticWalk is Engine's walker: simnet's hop loop with no edge hook.
+type staticWalk struct {
+	nw     *simnet.Network
+	scheme simnet.Scheme
+	paths  graph.PathSource
+}
+
+// walk keeps the scheme's packet as its scratch.
+func (s *staticWalk) walk(sc any, src, dst graph.Vertex, tr *obs.Trace) (any, walked) {
+	r, pkt, err := s.nw.RouteTraced(src, dst, sc, tr)
+	if pkt != nil {
+		sc = pkt
+	}
+	// The static engine serves one immutable generation: audit records
+	// carry generation 0, version 0, clean.
+	return sc, walked{Result: Result{Hops: r.Hops, Weight: r.Weight, HeaderWords: r.HeaderWords, Err: err},
+		scheme: s.scheme, clean: true}
+}
+
+// trueDist answers from the PathSource row when one was supplied, and
+// otherwise proves the distance with the bounded bidirectional kernel.
+func (s *staticWalk) trueDist(src, dst graph.Vertex, weight float64) float64 {
+	if s.paths != nil {
+		return s.paths.Dist(src, dst)
+	}
+	return s.scheme.Graph().BoundedBidiDist(src, dst, weight)
+}
+
+// New builds an engine over a preprocessed scheme and starts one worker
+// goroutine per shard. Callers that create engines in a loop should Close
+// them; an engine dropped without Close releases its workers when the
+// garbage collector collects it.
+func New(s simnet.Scheme, o Options) (*Engine, error) {
+	var nwOpts []simnet.Option
+	if o.MaxHops > 0 {
+		nwOpts = append(nwOpts, simnet.WithMaxHops(o.MaxHops))
+	}
+	walk := &staticWalk{nw: simnet.NewNetwork(s, nwOpts...), scheme: s, paths: o.Paths}
+	e := &Engine{scheme: s, core: newCore(&core{walk: walk, n: graph.Vertex(s.Graph().N()),
+		verify: o.Verify, failFast: o.FailFast, trace: o.Trace, audit: o.Audit}, o.Workers, o.PinWorkers)}
+	if o.Obs != nil {
+		e.registerObs(o.Obs)
+	}
+	if o.Audit != nil {
+		o.Audit.start(staticAuditBackend(s, o.FlightRec))
+	}
+	// Safety net for engines dropped without Close: the workers reference
+	// only the core, never the Engine, so the engine becomes unreachable
+	// while they are parked and the cleanup can run.
+	runtime.AddCleanup(e, func(c *closer) { c.close() }, e.cl)
+	return e, nil
+}
+
+// Scheme returns the scheme being served.
+func (e *Engine) Scheme() simnet.Scheme { return e.scheme }
 
 // mergeFrom folds another shard's counters into c (the caller holds the
 // other shard's lock).
@@ -629,6 +684,17 @@ func (c *counters) mergeFrom(o *counters) {
 	}
 	for i := range o.latHist {
 		c.latHist[i] += o.latHist[i]
+	}
+	c.deadHits += o.deadHits
+	c.detours += o.detours
+	c.detourHops += o.detourHops
+	c.fallbacks += o.fallbacks
+	c.stale += o.stale
+	if o.maxStale > c.maxStale {
+		c.maxStale = o.maxStale
+	}
+	for i := range o.staleHist {
+		c.staleHist[i] += o.staleHist[i]
 	}
 }
 
@@ -669,9 +735,9 @@ func (e *Engine) Stats() Stats {
 }
 
 // merged folds every shard's counters into one block.
-func (e *Engine) merged() counters {
+func (c *core) merged() counters {
 	var m counters
-	for _, sh := range e.shards {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		m.mergeFrom(&sh.st)
 		sh.mu.Unlock()
@@ -679,14 +745,16 @@ func (e *Engine) merged() counters {
 	return m
 }
 
-// ResetStats zeroes every shard's counters and restarts the QPS clock.
-func (e *Engine) ResetStats() {
-	for _, sh := range e.shards {
+// ResetStats zeroes every shard's counters and restarts the QPS clock (on
+// Live, the rebuild/swap lifecycle counters are engine-lifetime and
+// survive).
+func (c *core) ResetStats() {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		sh.st = counters{}
 		sh.mu.Unlock()
 	}
-	e.start.Store(time.Now().UnixNano())
+	c.start.Store(time.Now().UnixNano())
 }
 
 // quantile returns the nearest-rank q-quantile of a histogram: the smallest

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"compactroute/internal/exact"
 	"compactroute/internal/gen"
@@ -203,14 +205,38 @@ func TestEngineRejectsOutOfRangePairs(t *testing.T) {
 	}
 }
 
-func TestEngineRequiresPathsForVerify(t *testing.T) {
-	g := testGraph(t, 16, 1)
-	s, err := exact.New(g)
+// TestEngineVerifyWithoutPathsUsesBidi: with no PathSource, Verify proves
+// distances with the bounded bidirectional kernel, and every result and
+// statistic equals the PathSource-verified engine's.
+func TestEngineVerifyWithoutPathsUsesBidi(t *testing.T) {
+	g := testGraph(t, 64, 5)
+	s, err := tzroute.New(g, tzroute.Params{K: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(s, Options{Verify: true}); err == nil {
-		t.Fatal("Verify without Paths accepted")
+	pairs := samplePairs(g.N(), 300, 6)
+	serveWith := func(paths graph.PathSource) ([]Result, Stats) {
+		eng, err := New(s, Options{Workers: 2, Verify: true, Paths: paths})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		out := eng.Query(pairs, nil)
+		st := eng.Stats()
+		st.Elapsed, st.QPS = 0, 0
+		st.LatencySamples, st.P50Latency, st.P99Latency = 0, 0, 0
+		return out, st
+	}
+	bidi, bidiSt := serveWith(nil)
+	rows, rowsSt := serveWith(graph.AllPairs(g))
+	if !reflect.DeepEqual(bidi, rows) {
+		t.Fatal("bidi-verified results diverge from PathSource-verified ones")
+	}
+	if bidiSt != rowsSt {
+		t.Fatalf("stats diverge:\n bidi: %+v\nrows: %+v", bidiSt, rowsSt)
+	}
+	if bidiSt.Unverified != 0 || bidiSt.BoundViolations != 0 {
+		t.Fatalf("bidi verification left %d unverified, %d violations", bidiSt.Unverified, bidiSt.BoundViolations)
 	}
 }
 
@@ -356,6 +382,63 @@ func BenchmarkEngineQueryObs(b *testing.B) {
 				b.Fatalf("scrape after benchmark broken: %v", err)
 			}
 			b.ReportMetric(float64(len(pairs)*b.N)/b.Elapsed().Seconds(), "queries/s")
+		})
+	}
+}
+
+// TestEnginesReleaseWorkers: both front ends stop their shard workers on
+// Close and keep serving inline afterwards, and an engine dropped without
+// Close has its workers released once the collector finds it unreachable.
+func TestEnginesReleaseWorkers(t *testing.T) {
+	g := testGraph(t, 32, 3)
+	s, err := exact.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := samplePairs(g.N(), 64, 4)
+	type front interface {
+		Query([][2]graph.Vertex, []Result) []Result
+		Close()
+	}
+	fronts := map[string]func() (front, error){
+		"engine": func() (front, error) { return New(s, Options{Workers: 4}) },
+		"live":   func() (front, error) { return NewLive(s, LiveOptions{Workers: 4}) },
+	}
+	settle := func(want int) int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100 && n > want; i++ {
+			runtime.GC()
+			time.Sleep(5 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	for name, start := range fronts {
+		t.Run(name, func(t *testing.T) {
+			base := settle(runtime.NumGoroutine())
+			e, err := start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+			if n := settle(base); n > base {
+				t.Fatalf("%d goroutines after Close, want %d", n, base)
+			}
+			for _, r := range e.Query(pairs, nil) {
+				if r.Err != nil {
+					t.Fatalf("query after Close: %v", r.Err)
+				}
+			}
+			func() {
+				e, err := start()
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Query(pairs, nil)
+			}()
+			if n := settle(base); n > base {
+				t.Fatalf("%d goroutines after dropping an unclosed engine, want %d", n, base)
+			}
 		})
 	}
 }

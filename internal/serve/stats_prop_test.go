@@ -44,7 +44,7 @@ func TestShardStatsMergeProperty(t *testing.T) {
 			if err == nil {
 				res.Dist = paths.Dist(p[0], p[1])
 			}
-			c.record(s, &res, true)
+			c.add(&res, account{clean: true, bound: s.StretchBound(res.Dist)}, true)
 		}
 		return c
 	}

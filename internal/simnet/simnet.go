@@ -91,6 +91,25 @@ type Result struct {
 // ErrHopLimit is wrapped into errors returned when a packet loops.
 var ErrHopLimit = errors.New("simnet: hop limit exceeded")
 
+// ErrMisdelivered is wrapped into errors returned when a scheme delivers a
+// packet at a vertex other than its destination.
+var ErrMisdelivered = errors.New("simnet: packet delivered at the wrong vertex")
+
+// ErrDiverted is returned when an EdgeHook refuses a crossing.
+var ErrDiverted = errors.New("simnet: walk diverted by the edge hook")
+
+// EdgeHook patches the hop loop for a graph that has changed since the
+// scheme was preprocessed. Cross is consulted for every forward decision
+// with the edge the scheme chose and its preprocessed weight; it returns the
+// weight and hop count to charge for reaching next (a bypass may take
+// several hops; WithPath records only the endpoints the scheme chose), or
+// ok=false to stop the walk where it stands with ErrDiverted so the hook's
+// owner can complete the route some other way. tr is the route's trace, nil
+// when untraced.
+type EdgeHook interface {
+	Cross(at, next graph.Vertex, w float64, tr *obs.Trace) (cost float64, hops int, ok bool)
+}
+
 // Network executes packets of one Scheme over its graph.
 type Network struct {
 	scheme   Scheme
@@ -153,6 +172,14 @@ func (n *Network) RouteReuse(src, dst graph.Vertex, scratch Packet) (Result, Pac
 // untraced path - the per-hop cost is one predictable branch - so callers
 // can thread their sampler's output through unconditionally.
 func (n *Network) RouteTraced(src, dst graph.Vertex, scratch Packet, tr *obs.Trace) (Result, Packet, error) {
+	return n.RouteHooked(src, dst, scratch, tr, nil)
+}
+
+// RouteHooked is RouteTraced with an optional EdgeHook charging every
+// crossing; a nil hook crosses each chosen edge at its preprocessed weight.
+// This is the one hop loop of the repository: static serving runs it without
+// a hook, live serving with the overlay's.
+func (n *Network) RouteHooked(src, dst graph.Vertex, scratch Packet, tr *obs.Trace, hook EdgeHook) (Result, Packet, error) {
 	var res Result
 	var pkt Packet
 	var err error
@@ -186,7 +213,7 @@ func (n *Network) RouteTraced(src, dst graph.Vertex, scratch Packet, tr *obs.Tra
 		}
 		if d.Deliver {
 			if at != dst {
-				return res, pkt, fmt.Errorf("simnet: packet %d->%d delivered at wrong vertex %d", src, dst, at)
+				return res, pkt, fmt.Errorf("%w: %d->%d stopped at %d", ErrMisdelivered, src, dst, at)
 			}
 			return res, pkt, nil
 		}
@@ -194,7 +221,14 @@ func (n *Network) RouteTraced(src, dst graph.Vertex, scratch Packet, tr *obs.Tra
 			return res, pkt, fmt.Errorf("simnet: invalid port %d at vertex %d (degree %d)", d.Port, at, n.g.Degree(at))
 		}
 		next, w, _ := n.g.Endpoint(at, d.Port)
-		res.Hops++
+		hops := 1
+		if hook != nil {
+			var ok bool
+			if w, hops, ok = hook.Cross(at, next, w, tr); !ok {
+				return res, pkt, ErrDiverted
+			}
+		}
+		res.Hops += hops
 		res.Weight += w
 		at = next
 		if n.keepPath {

@@ -100,12 +100,12 @@ const maxExactFloat = 1 << 53
 
 // FloatSeq appends xs behind a one-byte tag: if every value is a
 // non-negative integer at most 2^53 they are written as uvarints, otherwise
-// as raw IEEE-754 bits. The element count is not written; the decoder
-// supplies it.
+// as raw IEEE-754 bits. Negative zero takes the raw path, so it survives the
+// round trip. The element count is not written; the decoder supplies it.
 func (e *Encoder) FloatSeq(xs []float64) {
 	integral := true
 	for _, x := range xs {
-		if !(x >= 0 && x <= maxExactFloat && x == math.Trunc(x)) {
+		if !(x >= 0 && x <= maxExactFloat && x == math.Trunc(x)) || math.Signbit(x) {
 			integral = false
 			break
 		}

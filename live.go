@@ -30,8 +30,9 @@ type (
 	// overlay breakdown, dead-edge hits, detours, fallbacks, measured
 	// staleness stretch, rebuilds and swaps.
 	LiveStats = serve.LiveStats
-	// LiveResult is the outcome of one overlay-patched route.
-	LiveResult = live.Result
+	// LiveResult is the outcome of one overlay-patched route: a ServeResult
+	// whose detour and fallback fields record the overlay's interventions.
+	LiveResult = serve.Result
 	// BuildFunc preprocesses a scheme for a (churned) graph; the live
 	// engine calls it from the background rebuild goroutine.
 	BuildFunc = serve.BuildFunc
@@ -134,18 +135,11 @@ func LoadLiveState(r io.Reader, o LiveServeOptions) (*LiveEngine, error) {
 	return serve.NewLiveWithOverlay(s, ov, o)
 }
 
-// SaveLiveStateFile is SaveLiveState into a file created (truncated) at
-// path.
+// SaveLiveStateFile is SaveLiveState into the file at path, replaced
+// atomically like SaveSchemeFile's: an engine serving off the old file's
+// mapping keeps serving.
 func SaveLiveStateFile(path string, l *LiveEngine) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := SaveLiveState(f, l); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return saveFileAtomic(path, func(w io.Writer) error { return SaveLiveState(w, l) })
 }
 
 // LoadLiveStateFile is LoadLiveState from the file at path.

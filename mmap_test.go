@@ -2,6 +2,7 @@ package compactroute_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -216,4 +217,120 @@ func TestOpenLiveStateFileMunmapAfterDrain(t *testing.T) {
 			t.Fatalf("post-swap: %v", r.Err)
 		}
 	}
+}
+
+// TestResaveOverServedSnapshot re-saves over snapshot files that are being
+// served off their mappings, while they serve. The replacement is far
+// smaller than the served file, so a save that truncated the file in place
+// would leave the old mapping's tables past the new end of file and the next
+// route would die with SIGBUS; the atomic replace keeps the served inode
+// intact, so every route after the save equals the route before it.
+func TestResaveOverServedSnapshot(t *testing.T) {
+	const n = 96
+	g, err := compactroute.GNM(n, 4*n, benchSeed, true, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, _ := saveTempSnapshot(t, func() (compactroute.Scheme, error) {
+		return compactroute.NewThorupZwick(g, compactroute.Options{K: 2, Seed: benchSeed})
+	})
+	small, err := compactroute.GNM(8, 16, benchSeed, true, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny, err := compactroute.NewExact(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := compactroute.SamplePairs(n, 200, benchSeed+2)
+
+	// resaveWhileServing routes pairs with route before, during and after
+	// save, and checks every answer against the first pass.
+	resaveWhileServing := func(t *testing.T, route func(p [2]compactroute.Vertex) (int, float64, error), save func() error) {
+		t.Helper()
+		type answer struct {
+			hops   int
+			weight float64
+		}
+		want := make([]answer, len(pairs))
+		for i, p := range pairs {
+			h, w, err := route(p)
+			if err != nil {
+				t.Fatalf("route %v before the save: %v", p, err)
+			}
+			want[i] = answer{h, w}
+		}
+		check := func(when string) error {
+			for i, p := range pairs {
+				h, w, err := route(p)
+				if err != nil {
+					return err
+				}
+				if (answer{h, w}) != want[i] {
+					return fmt.Errorf("route %v %s the save: (%d, %v), want (%d, %v)", p, when, h, w, want[i].hops, want[i].weight)
+				}
+			}
+			return nil
+		}
+		done := make(chan error, 1)
+		go func() { done <- check("during") }()
+		if err := save(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if err := check("after"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("scheme", func(t *testing.T) {
+		sf, err := compactroute.OpenSchemeFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sf.Close()
+		eng, err := compactroute.NewServeEngine(sf.Scheme, compactroute.ServeOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		resaveWhileServing(t, func(p [2]compactroute.Vertex) (int, float64, error) {
+			r := eng.Route(p[0], p[1])
+			return r.Hops, r.Weight, r.Err
+		}, func() error { return compactroute.SaveSchemeFile(path, tiny) })
+		reloaded, err := compactroute.LoadSchemeFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reloaded.Graph().N() != small.N() {
+			t.Fatalf("re-saved file holds a graph on %d vertices, want %d", reloaded.Graph().N(), small.N())
+		}
+	})
+
+	t.Run("live", func(t *testing.T) {
+		livePath := filepath.Join(t.TempDir(), "live.snap")
+		base, err := compactroute.NewThorupZwick(g, compactroute.Options{K: 2, Seed: benchSeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := compactroute.SaveSchemeFile(livePath, base); err != nil {
+			t.Fatal(err)
+		}
+		l, err := compactroute.OpenLiveStateFile(livePath, compactroute.LiveServeOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		tinyLive, err := compactroute.ServeLive(tiny, compactroute.LiveServeOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tinyLive.Close()
+		resaveWhileServing(t, func(p [2]compactroute.Vertex) (int, float64, error) {
+			r := l.Route(p[0], p[1])
+			return r.Hops, r.Weight, r.Err
+		}, func() error { return compactroute.SaveLiveStateFile(livePath, tinyLive) })
+	})
 }

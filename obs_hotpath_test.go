@@ -15,7 +15,8 @@ import (
 // Instrument reads are func-backed snapshots refreshed at scrape time, the
 // not-sampled trace check is a hash and a compare, and a sampled audit offer
 // is a value-struct send on a prefilled channel, so observability costs the
-// hot path nothing beyond that.
+// hot path nothing beyond that. The live engine, on an empty overlay, is
+// held to the same pin.
 func TestObsHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		// Not just instrumentation overhead: AllocsPerRun counts mallocs
@@ -97,6 +98,44 @@ func TestObsHotPathAllocs(t *testing.T) {
 	}
 	if st.Violations != 0 {
 		t.Fatalf("auditor reported %d violations on an honest scheme", st.Violations)
+	}
+
+	// The live engine in the same configuration, on an empty overlay.
+	lreg := compactroute.NewMetricsRegistry()
+	lsink := compactroute.NewTraceSink(0, 64)
+	lsink.Register(lreg)
+	laudit := compactroute.NewRouteAuditor(0.25, 2, 8192)
+	defer laudit.Close()
+	laudit.Register(lreg)
+	lfr := compactroute.NewFlightRecorder(64)
+	lfr.Register(lreg)
+	l, err := compactroute.ServeLive(s, compactroute.LiveServeOptions{
+		Workers: 2, Obs: lreg, Trace: lsink, Audit: laudit, FlightRec: lfr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 4; i++ {
+		l.Query(pairs, out)
+	}
+	laudit.Flush()
+	if allocs := testing.AllocsPerRun(20, func() {
+		l.Query(pairs, out)
+	}); allocs != 0 {
+		t.Errorf("Live.Query with obs enabled: %v allocs/op, want 0", allocs)
+	}
+	for i := 0; i < 32; i++ {
+		l.Route(pairs[i][0], pairs[i][1])
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		l.Route(pairs[i%len(pairs)][0], pairs[i%len(pairs)][1])
+		i++
+	}); allocs != 0 {
+		t.Errorf("Live.Route with obs enabled: %v allocs/op, want 0", allocs)
+	}
+	laudit.Flush()
+	if lst := laudit.Stats(); lst.Verified == 0 || lst.Violations != 0 {
+		t.Fatalf("live auditor across the alloc runs: %+v", lst)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"compactroute/internal/wire"
@@ -167,17 +168,46 @@ func OpenSchemeFile(path string) (*SchemeFile, error) {
 	return &SchemeFile{Scheme: s, m: m}, nil
 }
 
-// SaveSchemeFile is SaveScheme into a file created (truncated) at path.
+// SaveSchemeFile is SaveScheme into the file at path, replaced atomically
+// (see saveFileAtomic): a process serving the old file keeps a valid
+// mapping of it.
 func SaveSchemeFile(path string, s Scheme) error {
-	f, err := os.Create(path)
+	return saveFileAtomic(path, func(w io.Writer) error { return SaveScheme(w, s) })
+}
+
+// saveFileAtomic writes a snapshot to a temporary file in path's directory,
+// fsyncs it and renames it over path. Truncating path in place instead
+// would pull the pages out from under every process that has the old file
+// mapped, and their next route would die with SIGBUS; the rename leaves the
+// old inode intact until the last mapping goes. An existing file's
+// permissions carry over to its replacement.
+func saveFileAtomic(path string, save func(io.Writer) error) error {
+	mode := os.FileMode(0o644)
+	if fi, err := os.Stat(path); err == nil {
+		mode = fi.Mode().Perm()
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := SaveScheme(f, s); err != nil {
-		f.Close()
-		return err
+	tmp := f.Name()
+	err = save(f)
+	if err == nil {
+		err = f.Chmod(mode)
 	}
-	return f.Close()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // LoadSchemeFile loads the snapshot at path through the mmap fast path: the
