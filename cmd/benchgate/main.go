@@ -90,19 +90,19 @@ func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		baseline  = fs.String("baseline", "", "baseline BENCH_*.json (required)")
-		candidate = fs.String("candidate", "", "candidate BENCH_*.json; empty = measure fresh")
-		tolerance = fs.Float64("tolerance", 0.15, "relative tolerance band per metric")
-		n         = fs.Int("n", 1000, "measure: graph size (m = 4n)")
-		queries   = fs.Int("queries", 100000, "measure: served queries per scheme")
-		batch     = fs.Int("batch", 4096, "measure: Query batch size")
-		schemes   = fs.String("schemes", "exact,tz-k2", "measure: comma-separated rows (exact, tz-k2, warmup, thm11)")
-		seed      = fs.Int64("seed", 2015, "measure: graph/scheme seed (matches routebench)")
-		eps       = fs.Float64("eps", 0.25, "measure: eps of the eps-schemes")
-		workers   = fs.Int("workers", 1, "measure: engine shards")
-		budget    = fs.Int64("mem-budget", 512, "measure: lazy path-source budget in MiB")
-		write     = fs.String("write", "", "measure: write the measured records to this JSON file")
-		pr        = fs.Int("pr", 0, "measure: pr number recorded in -write output")
+		baseline     = fs.String("baseline", "", "baseline BENCH_*.json (required)")
+		candidate    = fs.String("candidate", "", "candidate BENCH_*.json; empty = measure fresh")
+		tolerance    = fs.Float64("tolerance", 0.15, "relative tolerance band per metric")
+		n            = fs.Int("n", 1000, "measure: graph size (m = 4n)")
+		queries      = fs.Int("queries", 100000, "measure: served queries per scheme")
+		batch        = fs.Int("batch", 4096, "measure: Query batch size")
+		schemes      = fs.String("schemes", "exact,tz-k2", "measure: comma-separated rows (exact, tz-k2, warmup, thm11)")
+		seed         = fs.Int64("seed", 2015, "measure: graph/scheme seed (matches routebench)")
+		eps          = fs.Float64("eps", 0.25, "measure: eps of the eps-schemes")
+		workers      = fs.Int("workers", 1, "measure: engine shards")
+		budget       = fs.Int64("mem-budget", 512, "measure: lazy path-source budget in MiB")
+		write        = fs.String("write", "", "measure: write the measured records to this JSON file")
+		pr           = fs.Int("pr", 0, "measure: pr number recorded in -write output")
 		auditRate    = fs.Float64("audit-sample", 0, "measure: attach a shadow route auditor at this sample rate (0 = off); any audited violation is a measurement error")
 		repairN      = fs.Int("repair-n", 0, "measure: also soak the thm11 incremental-repair path on a graph of this size (0 = skip)")
 		repairBatch  = fs.Int("repair-batch", 1, "measure: churn ops applied per repair phase of the soak")

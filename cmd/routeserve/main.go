@@ -20,6 +20,14 @@
 //	trace [N]    dump the last N sampled route traces as JSON (-trace-sample)
 //	quit         close the session
 //
+// Clients may pipeline. Every command but quit gets exactly one reply line
+// (an "err" line if it is malformed), in the order the commands were sent.
+// Replies are buffered and flushed whenever no complete command is left in
+// the input buffer, so a burst of pipelined lines costs one write, while a
+// lone command, or one followed by a partial line, is answered at once.
+// Lines end in LF or CRLF and are at most 64 KiB long; a longer line ends
+// the session.
+//
 // With -live the snapshot is served through the churn-tolerant live engine
 // (a snapshot carrying an overlay journal, written by SaveLiveState,
 // restores its churned state), and the protocol gains admin commands:
@@ -60,7 +68,8 @@
 // audited violation or drift breach.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops accepting,
-// drains in-flight queries, flushes a final stats line and exits 0.
+// answers and flushes the batch of commands each session is serving, writes
+// a final stats line after them and exits 0.
 //
 // Responses are single lines, JSON objects under -json. With -verify every
 // route response also carries the true distance and observed stretch, and
@@ -74,6 +83,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -84,10 +94,11 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"compactroute"
 )
@@ -217,22 +228,10 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		srv.live = l
 		srv.paths = l.Distances()
 	} else {
-		scheme, err := compactroute.LoadSchemeFile(*snapshot)
-		if err != nil {
+		if err := srv.openStatic(*snapshot, *workers, *budget); err != nil {
 			return err
 		}
-		paths := compactroute.NewLazyAPSP(scheme.Graph(), int64(*budget)<<20)
-		opts := compactroute.ServeOptions{Workers: *workers, Verify: *verify,
-			Obs: srv.reg, Trace: srv.sink, Audit: srv.audit, FlightRec: srv.flight}
-		if *verify {
-			opts.Paths = paths
-		}
-		eng, err := compactroute.NewServeEngine(scheme, opts)
-		if err != nil {
-			return err
-		}
-		defer eng.Close()
-		srv.scheme, srv.eng, srv.paths = scheme, eng, paths
+		defer srv.eng.Close()
 	}
 	if *adminAddr != "" {
 		addr, stop, err := srv.startAdmin(*adminAddr)
@@ -262,15 +261,41 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return srv.listenAndServe(*listen, out, sig)
 	}
 	srv.banner(out)
+	// The session and the shutdown path share out; the batch lock keeps the
+	// final stats line behind whole, flushed batches of replies.
+	lock := new(batchLock)
 	done := make(chan error, 1)
-	go func() { done <- srv.serveConn(in, out) }()
+	go func() { done <- srv.serveConn(in, out, lock) }()
 	select {
 	case err := <-done:
 		return err
 	case <-sig:
+		lock.close()
 		srv.finalStats(out)
 		return nil
 	}
+}
+
+// openStatic loads the snapshot at path into a static serving engine wired to
+// the server's registry, trace sink, auditor and flight recorder. The caller
+// closes s.eng.
+func (s *server) openStatic(path string, workers, budgetMiB int) error {
+	scheme, err := compactroute.LoadSchemeFile(path)
+	if err != nil {
+		return err
+	}
+	paths := compactroute.NewLazyAPSP(scheme.Graph(), int64(budgetMiB)<<20)
+	opts := compactroute.ServeOptions{Workers: workers, Verify: s.verify,
+		Obs: s.reg, Trace: s.sink, Audit: s.audit, FlightRec: s.flight}
+	if s.verify {
+		opts.Paths = paths
+	}
+	eng, err := compactroute.NewServeEngine(scheme, opts)
+	if err != nil {
+		return err
+	}
+	s.scheme, s.eng, s.paths = scheme, eng, paths
+	return nil
 }
 
 func (s *server) workers() int {
@@ -342,7 +367,7 @@ func (s *server) listenAndServe(addr string, out io.Writer, sig <-chan os.Signal
 					mu.Unlock()
 					conn.Close()
 				}()
-				_ = s.serveConn(conn, conn)
+				_ = s.serveConn(conn, conn, nil)
 			}()
 		}
 	}()
@@ -352,7 +377,7 @@ func (s *server) listenAndServe(addr string, out io.Writer, sig <-chan os.Signal
 	case <-sig:
 		l.Close()
 		// Unblock sessions parked in Read; in-flight commands finish first
-		// because each command is served and written before the next Read.
+		// because each batch is served and flushed before the next Read.
 		mu.Lock()
 		draining = true
 		for conn := range open {
@@ -394,34 +419,150 @@ type adminReply struct {
 	Err        string  `json:"err,omitempty"`
 }
 
+// maxLine bounds one protocol line, newline included; a longer line ends the
+// session with bufio.ErrTooLong. It also sizes each session's input and
+// output buffers.
+const maxLine = 64 * 1024
+
+// maxFields is one more than the longest command takes (addedge U V W), so a
+// line with too many fields still reads as too many.
+const maxFields = 5
+
+// routeReplyMax bounds a text route reply for all but extreme weights. The
+// reply is formatted in place in the writer's free space, which is flushed
+// first when less than this is left.
+const routeReplyMax = 256
+
+// errShutdown ends a session that finds its output closed by shutdown.
+var errShutdown = errors.New("server shutting down")
+
+// batchLock orders a session's replies against a shutdown path that writes
+// to the same output (stdin mode). The session holds it from taking a batch's
+// first command until the batch's replies are flushed; shutdown closes it,
+// so the final stats line follows whole batches and nothing follows it. A nil
+// *batchLock (a TCP connection owns its output) does nothing.
+type batchLock struct {
+	mu     sync.Mutex
+	closed bool
+}
+
+// acquire takes the lock; it reports false, without holding it, once the
+// lock is closed.
+func (l *batchLock) acquire() bool {
+	if l == nil {
+		return true
+	}
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+func (l *batchLock) release() {
+	if l != nil {
+		l.mu.Unlock()
+	}
+}
+
+// close waits for the batch in progress to be flushed and ends the session's
+// output for good.
+func (l *batchLock) close() {
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
+}
+
 // serveConn runs the line protocol until EOF or "quit". Malformed commands
-// produce an error line and the session continues.
-func (s *server) serveConn(in io.Reader, out io.Writer) error {
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
-	w := bufio.NewWriter(out)
-	defer w.Flush()
+// produce an error line and the session continues. Replies are flushed only
+// when no complete command is left in the input buffer: a pipelined batch
+// costs one write, and a lone command, or one followed by a partial line, is
+// answered at once. lock, if non-nil, is held while a batch is served.
+func (s *server) serveConn(in io.Reader, out io.Writer, lock *batchLock) error {
+	r := bufio.NewReaderSize(in, maxLine)
+	w := bufio.NewWriterSize(out, maxLine)
 	enc := json.NewEncoder(w)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
+	var buf [maxFields][]byte
+	held := false
+	for {
+		line, err := r.ReadSlice('\n')
+		if err != nil && err != io.EOF {
+			// An overlong line, or one cut short by a read error, is not a
+			// command; the final line before EOF is, newline or not.
+			line = nil
 		}
-		if quit := s.serveCommand(w, enc, fields); quit {
-			return w.Flush()
+		quit := false
+		if fields := splitFields(line, &buf); len(fields) > 0 {
+			if !held && !lock.acquire() {
+				return errShutdown
+			}
+			held = true
+			quit = s.serveCommand(w, enc, fields)
 		}
-		if err := w.Flush(); err != nil {
+		if held && (quit || err != nil || !lineBuffered(r)) {
+			ferr := w.Flush()
+			lock.release()
+			held = false
+			if ferr != nil {
+				return ferr
+			}
+		}
+		switch {
+		case quit || err == io.EOF:
+			return nil
+		case err == bufio.ErrBufferFull:
+			return bufio.ErrTooLong
+		case err != nil:
 			return err
 		}
 	}
-	return sc.Err()
+}
+
+// lineBuffered reports whether r holds a complete line, so that the next
+// ReadSlice returns without reading.
+func lineBuffered(r *bufio.Reader) bool {
+	buf, _ := r.Peek(r.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
+// splitFields splits line around runs of white space, as strings.Fields does,
+// into dst without allocating. A line with more than len(dst) fields yields
+// the first len(dst); no command takes that many.
+func splitFields(line []byte, dst *[maxFields][]byte) [][]byte {
+	fields := dst[:0]
+	for i := 0; i < len(line) && len(fields) < len(dst); {
+		if sp, size := spaceAt(line, i); sp {
+			i += size
+			continue
+		}
+		start := i
+		for i < len(line) {
+			sp, size := spaceAt(line, i)
+			if sp {
+				break
+			}
+			i += size
+		}
+		fields = append(fields, line[start:i])
+	}
+	return fields
+}
+
+// spaceAt reports whether the rune at b[i] is white space, and its width.
+func spaceAt(b []byte, i int) (bool, int) {
+	r, size := rune(b[i]), 1
+	if r >= utf8.RuneSelf {
+		r, size = utf8.DecodeRune(b[i:])
+	}
+	return unicode.IsSpace(r), size
 }
 
 // serveCommand executes one protocol command; it reports whether the
 // session asked to close.
-func (s *server) serveCommand(w *bufio.Writer, enc *json.Encoder, fields []string) (quit bool) {
+func (s *server) serveCommand(w *bufio.Writer, enc *json.Encoder, fields [][]byte) (quit bool) {
 	n := s.currentScheme().Graph().N()
-	switch cmd := fields[0]; cmd {
+	switch string(fields[0]) {
 	case "quit", "exit":
 		return true
 	case "stats":
@@ -429,28 +570,28 @@ func (s *server) serveCommand(w *bufio.Writer, enc *json.Encoder, fields []strin
 	case "trace":
 		nTr := 16
 		if len(fields) == 2 {
-			v, err := strconv.Atoi(fields[1])
-			if err != nil || v < 1 {
-				s.errLine(w, enc, cmd, fmt.Errorf("bad count %q", fields[1]))
+			v, ok := atoi(fields[1])
+			if !ok || v < 1 {
+				s.errLine(w, enc, "trace", fmt.Errorf("bad count %q", fields[1]))
 				break
 			}
 			nTr = v
 		} else if len(fields) > 2 {
-			s.errLine(w, enc, cmd, errors.New("want: trace [N]"))
+			s.errLine(w, enc, "trace", errors.New("want: trace [N]"))
 			break
 		}
 		_ = s.sink.WriteJSON(w, nTr)
 	case "route":
 		u, v, err := parsePair(fields, n)
 		if err != nil {
-			s.errLine(w, enc, cmd, err)
+			s.errLine(w, enc, "route", err)
 			break
 		}
 		s.serveRoute(w, enc, u, v)
 	case "dist":
 		u, v, err := parsePair(fields, n)
 		if err != nil {
-			s.errLine(w, enc, cmd, err)
+			s.errLine(w, enc, "dist", err)
 			break
 		}
 		d := s.paths.Dist(u, v)
@@ -468,13 +609,14 @@ func (s *server) serveCommand(w *bufio.Writer, enc *json.Encoder, fields []strin
 			fmt.Fprintf(w, "dist %d %d %g\n", u, v, d)
 		}
 	case "addedge", "deledge", "setw", "rebuild", "repair", "refresh":
+		cmd := string(fields[0])
 		if s.live == nil {
 			s.errLine(w, enc, cmd, errors.New("admin commands need -live"))
 			break
 		}
 		s.serveAdmin(w, enc, cmd, fields)
 	default:
-		s.errLine(w, enc, cmd, fmt.Errorf("unknown command (want route | dist | stats | trace | addedge | deledge | setw | rebuild | repair | refresh | quit)"))
+		s.errLine(w, enc, string(fields[0]), fmt.Errorf("unknown command (want route | dist | stats | trace | addedge | deledge | setw | rebuild | repair | refresh | quit)"))
 	}
 	return false
 }
@@ -490,34 +632,64 @@ func (s *server) serveRoute(w *bufio.Writer, enc *json.Encoder, u, v compactrout
 		s.errLine(w, enc, "route", res.Err)
 		return
 	}
-	rep := routeReply{Op: "route", Src: int(u), Dst: int(v), Hops: res.Hops,
-		Weight: res.Weight, Header: res.HeaderWords,
-		Stale: res.Stale(), Detours: res.Detours, Fallback: res.Fallback}
-	if s.verify {
-		rep.Dist = res.Dist
-	}
-	if s.verify && rep.Dist > 0 {
-		rep.Stretch = rep.Weight / rep.Dist
-	}
 	if s.jsonMode {
+		rep := routeReply{Op: "route", Src: int(u), Dst: int(v), Hops: res.Hops,
+			Weight: res.Weight, Header: res.HeaderWords,
+			Stale: res.Stale(), Detours: res.Detours, Fallback: res.Fallback}
+		if s.verify {
+			rep.Dist = res.Dist
+		}
+		if s.verify && rep.Dist > 0 {
+			rep.Stretch = rep.Weight / rep.Dist
+		}
 		_ = enc.Encode(rep)
 		return
 	}
-	fmt.Fprintf(w, "route %d %d hops=%d weight=%g header=%d", u, v, rep.Hops, rep.Weight, rep.Header)
-	if s.verify {
-		fmt.Fprintf(w, " dist=%g", rep.Dist)
-		if rep.Dist > 0 {
-			fmt.Fprintf(w, " stretch=%.3f", rep.Stretch)
+	// A write error sticks in w; the batch's flush in serveConn reports it
+	// and ends the session.
+	if w.Available() < routeReplyMax {
+		_ = w.Flush()
+	}
+	_, _ = w.Write(appendRouteText(w.AvailableBuffer(), u, v, &res, s.verify))
+}
+
+// appendRouteText appends the text route reply, byte for byte what
+//
+//	"route %d %d hops=%d weight=%g header=%d"
+//	+ " dist=%g" + " stretch=%.3f" (with verify; stretch only for dist > 0)
+//	+ " stale=1 detours=%d fallback=%v" (stale routes only) + "\n"
+//
+// formats, without fmt.
+func appendRouteText(b []byte, u, v compactroute.Vertex, res *compactroute.ServeResult, verify bool) []byte {
+	b = append(b, "route "...)
+	b = strconv.AppendInt(b, int64(u), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(v), 10)
+	b = append(b, " hops="...)
+	b = strconv.AppendInt(b, int64(res.Hops), 10)
+	b = append(b, " weight="...)
+	b = strconv.AppendFloat(b, res.Weight, 'g', -1, 64)
+	b = append(b, " header="...)
+	b = strconv.AppendInt(b, int64(res.HeaderWords), 10)
+	if verify {
+		b = append(b, " dist="...)
+		b = strconv.AppendFloat(b, res.Dist, 'g', -1, 64)
+		if res.Dist > 0 {
+			b = append(b, " stretch="...)
+			b = strconv.AppendFloat(b, res.Weight/res.Dist, 'f', 3, 64)
 		}
 	}
-	if rep.Stale {
-		fmt.Fprintf(w, " stale=1 detours=%d fallback=%v", rep.Detours, rep.Fallback)
+	if res.Stale() {
+		b = append(b, " stale=1 detours="...)
+		b = strconv.AppendInt(b, int64(res.Detours), 10)
+		b = append(b, " fallback="...)
+		b = strconv.AppendBool(b, res.Fallback)
 	}
-	fmt.Fprintln(w)
+	return append(b, '\n')
 }
 
 // serveAdmin executes one live-engine admin command.
-func (s *server) serveAdmin(w *bufio.Writer, enc *json.Encoder, cmd string, fields []string) {
+func (s *server) serveAdmin(w *bufio.Writer, enc *json.Encoder, cmd string, fields [][]byte) {
 	n := s.currentScheme().Graph().N()
 	switch cmd {
 	case "rebuild", "repair", "refresh":
@@ -670,20 +842,20 @@ func (s *server) errLine(w io.Writer, enc *json.Encoder, op string, err error) {
 	}
 }
 
-func parsePair(fields []string, n int) (u, v compactroute.Vertex, err error) {
+func parsePair(fields [][]byte, n int) (u, v compactroute.Vertex, err error) {
 	if len(fields) != 3 {
 		return 0, 0, fmt.Errorf("want: %s U V", fields[0])
 	}
-	return parseUV(fields[0], fields[1], fields[2], n)
+	return parseUV(fields[1], fields[2], n)
 }
 
-func parseUV(op, us, vs string, n int) (u, v compactroute.Vertex, err error) {
-	ui, err := strconv.Atoi(us)
-	if err != nil {
+func parseUV(us, vs []byte, n int) (u, v compactroute.Vertex, err error) {
+	ui, ok := atoi(us)
+	if !ok {
 		return 0, 0, fmt.Errorf("bad vertex %q", us)
 	}
-	vi, err := strconv.Atoi(vs)
-	if err != nil {
+	vi, ok := atoi(vs)
+	if !ok {
 		return 0, 0, fmt.Errorf("bad vertex %q", vs)
 	}
 	if ui < 0 || ui >= n || vi < 0 || vi >= n {
@@ -692,19 +864,47 @@ func parseUV(op, us, vs string, n int) (u, v compactroute.Vertex, err error) {
 	return compactroute.Vertex(ui), compactroute.Vertex(vi), nil
 }
 
-func parseEdgeWeight(fields []string, n int) (u, v compactroute.Vertex, w float64, err error) {
+func parseEdgeWeight(fields [][]byte, n int) (u, v compactroute.Vertex, w float64, err error) {
 	if len(fields) != 4 {
 		return 0, 0, 0, fmt.Errorf("want: %s U V W", fields[0])
 	}
-	u, v, err = parseUV(fields[0], fields[1], fields[2], n)
+	u, v, err = parseUV(fields[1], fields[2], n)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	w, err = strconv.ParseFloat(fields[3], 64)
+	w, err = strconv.ParseFloat(string(fields[3]), 64)
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("bad weight %q", fields[3])
 	}
 	return u, v, w, nil
+}
+
+// atoi parses a decimal int as strconv.Atoi does (an optional sign, then
+// digits, rejecting overflow) without making b a string.
+func atoi(b []byte) (int, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	limit := uint64(1)<<(strconv.IntSize-1) - 1
+	if neg {
+		limit++
+	}
+	var x uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || x > (limit-d)/10 {
+			return 0, false
+		}
+		x = x*10 + d
+	}
+	if neg {
+		return int(-x), true
+	}
+	return int(x), true
 }
 
 // loadgenSummary is the JSON shape of a load-generator run, the record

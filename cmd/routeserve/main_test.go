@@ -2,13 +2,18 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -18,7 +23,7 @@ import (
 
 // writeSnapshot builds a small Theorem 11 scheme and saves it to a temp
 // file, returning the path and the scheme's graph size.
-func writeSnapshot(t *testing.T) (path string, n int) {
+func writeSnapshot(t testing.TB) (path string, n int) {
 	t.Helper()
 	n = 72
 	g, err := compactroute.GNM(n, 4*n, 2015, true, 16)
@@ -140,10 +145,10 @@ func TestServeLiveAdminSession(t *testing.T) {
 	snap, _ := writeSnapshot(t)
 	in := strings.NewReader(strings.Join([]string{
 		"route 3 41",
-		"deledge 3 41",    // may or may not be an edge; either answer is fine
-		"deledge 0 0",     // invalid: self loop
-		"addedge 0 0 2",   // invalid: self loop
-		"setw 1 2 0",      // invalid: non-positive weight (or missing edge)
+		"deledge 3 41",  // may or may not be an edge; either answer is fine
+		"deledge 0 0",   // invalid: self loop
+		"addedge 0 0 2", // invalid: self loop
+		"setw 1 2 0",    // invalid: non-positive weight (or missing edge)
 		"stats",
 		"rebuild",
 		"stats",
@@ -292,5 +297,387 @@ func TestRunRejectsMissingSnapshot(t *testing.T) {
 	}
 	if err := run([]string{"-snapshot", "/definitely/not/a/file"}, strings.NewReader(""), &out); err == nil {
 		t.Fatal("expected error for missing snapshot file")
+	}
+}
+
+// newStaticServer opens snap into a one-shard static server, as run does
+// without -live.
+func newStaticServer(t testing.TB, snap string, verify bool) *server {
+	t.Helper()
+	srv := &server{verify: verify, reg: compactroute.NewMetricsRegistry()}
+	if err := srv.openStatic(snap, 1, 16); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.eng.Close)
+	return srv
+}
+
+// dialSession serves srv on a loopback listener and returns a client
+// connection to it. Cleanup closes both and waits for the session to end.
+func dialSession(t *testing.T, srv *server) net.Conn {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		_ = srv.serveConn(c, c, nil)
+	}()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		conn.Close()
+		l.Close()
+		wg.Wait()
+	})
+	return conn
+}
+
+// TestServePipelinedTCP sends 200 commands in one write over one connection:
+// every command gets its reply, in order, and each bad command one err line.
+func TestServePipelinedTCP(t *testing.T) {
+	snap, n := writeSnapshot(t)
+	conn := dialSession(t, newStaticServer(t, snap, false))
+	const cmds = 200
+	var req bytes.Buffer
+	want := make([]string, cmds)
+	for i := range cmds {
+		u, v := i%n, (7*i+3)%n
+		switch i % 10 {
+		case 3:
+			fmt.Fprintf(&req, "route %d\n", u)
+			want[i] = "err route: want: route U V"
+		case 6:
+			fmt.Fprintf(&req, "route %d x%d\n", u, v)
+			want[i] = fmt.Sprintf("err route: bad vertex \"x%d\"", v)
+		case 9:
+			fmt.Fprintf(&req, "teleport %d %d\n", u, v)
+			want[i] = "err teleport: unknown command"
+		default:
+			fmt.Fprintf(&req, "route %d %d\n", u, v)
+			want[i] = fmt.Sprintf("route %d %d hops=", u, v)
+		}
+	}
+	if _, err := conn.Write(req.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	sc := bufio.NewScanner(conn)
+	for i := range cmds {
+		if !sc.Scan() {
+			t.Fatalf("reply %d: %v", i, sc.Err())
+		}
+		if !strings.HasPrefix(sc.Text(), want[i]) {
+			t.Fatalf("reply %d = %q, want prefix %q", i, sc.Text(), want[i])
+		}
+	}
+}
+
+// TestServePartialLineAnsweredAtOnce checks that a trailing partial line
+// does not hold back the replies to the complete lines before it, and that
+// CRLF line ends parse.
+func TestServePartialLineAnsweredAtOnce(t *testing.T) {
+	snap, _ := writeSnapshot(t)
+	conn := dialSession(t, newStaticServer(t, snap, false))
+	sc := bufio.NewScanner(conn)
+	expect := func(prefix string) {
+		t.Helper()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if !sc.Scan() {
+			t.Fatalf("no reply %q: %v", prefix, sc.Err())
+		}
+		if !strings.HasPrefix(sc.Text(), prefix) {
+			t.Fatalf("reply %q, want prefix %q", sc.Text(), prefix)
+		}
+	}
+	if _, err := io.WriteString(conn, "route 1 2\nroute 3"); err != nil {
+		t.Fatal(err)
+	}
+	expect("route 1 2 hops=")
+	if _, err := io.WriteString(conn, " 4\r\nroute 3 41\r\nstats\r"); err != nil {
+		t.Fatal(err)
+	}
+	expect("route 3 4 hops=")
+	expect("route 3 41 hops=")
+	if _, err := io.WriteString(conn, "\n"); err != nil {
+		t.Fatal(err)
+	}
+	expect("stats queries=3 ")
+}
+
+// TestServeLineTooLong pins the 64 KiB line limit: a line of maxLine bytes
+// with its newline is a command, one byte more ends the session with
+// bufio.ErrTooLong after answering the lines before it.
+func TestServeLineTooLong(t *testing.T) {
+	snap, _ := writeSnapshot(t)
+	srv := newStaticServer(t, snap, false)
+	var out strings.Builder
+	in := "route 1 2\n" + strings.Repeat("x", maxLine-1) + "\nroute 1 2\n"
+	if err := srv.serveConn(strings.NewReader(in), &out, nil); err != nil {
+		t.Fatalf("line of %d bytes: %v", maxLine, err)
+	}
+	if lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n"); len(lines) != 3 ||
+		!strings.HasPrefix(lines[1], "err xxx") || !strings.HasPrefix(lines[2], "route 1 2 hops=") {
+		t.Fatalf("line of %d bytes: replies %q", maxLine, out.String())
+	}
+
+	out.Reset()
+	in = "route 1 2\n" + strings.Repeat("x", maxLine) + "\nroute 1 2\n"
+	if err := srv.serveConn(strings.NewReader(in), &out, nil); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line of %d bytes: err %v, want %v", maxLine+1, err, bufio.ErrTooLong)
+	}
+	if got := out.String(); !strings.HasPrefix(got, "route 1 2 hops=") || strings.Count(got, "\n") != 1 {
+		t.Fatalf("line of %d bytes: replies %q, want the one before it", maxLine+1, got)
+	}
+}
+
+// oldRouteText is the route reply as the fmt-based formatter wrote it;
+// appendRouteText must reproduce it byte for byte.
+func oldRouteText(u, v compactroute.Vertex, res compactroute.ServeResult, verify bool) string {
+	var b strings.Builder
+	dist, stretch := 0.0, 0.0
+	if verify {
+		dist = res.Dist
+	}
+	if verify && dist > 0 {
+		stretch = res.Weight / dist
+	}
+	fmt.Fprintf(&b, "route %d %d hops=%d weight=%g header=%d", u, v, res.Hops, res.Weight, res.HeaderWords)
+	if verify {
+		fmt.Fprintf(&b, " dist=%g", dist)
+		if dist > 0 {
+			fmt.Fprintf(&b, " stretch=%.3f", stretch)
+		}
+	}
+	if res.Stale() {
+		fmt.Fprintf(&b, " stale=1 detours=%d fallback=%v", res.Detours, res.Fallback)
+	}
+	fmt.Fprintln(&b)
+	return b.String()
+}
+
+// TestRouteTextGolden pins the text route reply to the fmt format strings it
+// replaced: plain, -verify with and without a positive distance, and live
+// stale replies, over awkward weights and over real routes.
+func TestRouteTextGolden(t *testing.T) {
+	weights := []float64{0, 1, 32, 0.30000000000000004, 1e21, 1e-7, 123456789.125, math.MaxFloat64, math.Inf(1)}
+	var cases []compactroute.ServeResult
+	for i, w := range weights {
+		for _, d := range []float64{0, -1, w, w / 3, 1e21, 7} {
+			r := compactroute.ServeResult{Hops: i * 3, HeaderWords: 2 + i, Weight: w, Dist: d}
+			cases = append(cases, r)
+			r.DeadHits, r.Detours = 2, 1
+			cases = append(cases, r)
+			r.Fallback = true
+			cases = append(cases, r)
+			r.DeadHits, r.Detours = 0, 0
+			cases = append(cases, r)
+		}
+	}
+	check := func(u, v compactroute.Vertex, res compactroute.ServeResult) {
+		t.Helper()
+		for _, verify := range []bool{false, true} {
+			want := oldRouteText(u, v, res, verify)
+			if got := string(appendRouteText(nil, u, v, &res, verify)); got != want {
+				t.Fatalf("verify=%v %+v:\n got %q\nwant %q", verify, res, got, want)
+			}
+		}
+	}
+	for i, res := range cases {
+		check(compactroute.Vertex(i), compactroute.Vertex(1<<30+i), res)
+	}
+
+	snap, n := writeSnapshot(t)
+	srv := newStaticServer(t, snap, true)
+	for u := range n {
+		for v := range n {
+			check(compactroute.Vertex(u), compactroute.Vertex(v), srv.eng.Route(compactroute.Vertex(u), compactroute.Vertex(v)))
+		}
+	}
+}
+
+// TestServeConnAllocs pins the text route line at zero allocations: a
+// session of many warm route commands allocates as much as a session of one.
+func TestServeConnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation drops pooled scratch; allocs/op is only meaningful without -race")
+	}
+	snap, n := writeSnapshot(t)
+	srv := newStaticServer(t, snap, false)
+	const cmds = 10000 // about two input buffers
+	var many bytes.Buffer
+	for i := range cmds {
+		fmt.Fprintf(&many, "route %d %d\n", i%n, (7*i+3)%n)
+	}
+	session := func(in []byte) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := srv.serveConn(bytes.NewReader(in), io.Discard, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	session(many.Bytes()) // warm every pair's scratch
+	one := session([]byte("route 1 2\n"))
+	got := session(many.Bytes())
+	// A pooled scratch buffer refilled after a GC is a stray alloc per
+	// session; an alloc on the command path is one per command.
+	if perCmd := (got - one) / cmds; perCmd >= 0.01 {
+		t.Errorf("%d route commands: %v allocs per session, one command: %v; %.3f allocs per command, want 0",
+			cmds, got, one, perCmd)
+	}
+}
+
+// FuzzServeConn feeds arbitrary bytes to a static session: it must not
+// panic, and must answer every non-blank line before the first quit with
+// exactly one reply or err line. It also holds the in-place tokenizer and
+// integer parser to strings.Fields and strconv.Atoi.
+func FuzzServeConn(f *testing.F) {
+	snap, _ := writeSnapshot(f)
+	srv := newStaticServer(f, snap, false)
+	for _, seed := range []string{
+		"route 3 41\ndist 3 41\nstats\ntrace\ntrace 2\nquit\nroute 1 2\n",
+		"route 3\nroute 3 999999\nroute -1 +2\nroute 9223372036854775808 1\nteleport 1 2\n\n \t \nroute 3 41",
+		"route 1 2\nroute 3",
+		"route 3 41\r\nstats\r\n",
+		"route\u00a01\u20282\nroute \xff 1\naddedge 1 2 3\nsetw 1 2\ndeledge 1 2\ntrace 0\nexit\n",
+		"route 1 2\n" + strings.Repeat("x", maxLine) + "\nroute 1 2\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var out bytes.Buffer
+		err := srv.serveConn(bytes.NewReader(data), &out, nil)
+		want, tooLong := expectedReplies(t, data)
+		if tooLong != errors.Is(err, bufio.ErrTooLong) || (!tooLong && err != nil) {
+			t.Fatalf("session err %v, overlong line %v", err, tooLong)
+		}
+		if got := bytes.Count(out.Bytes(), []byte("\n")); got != want || (out.Len() > 0 && out.Bytes()[out.Len()-1] != '\n') {
+			t.Fatalf("%d reply lines for %d commands:\n%q", got, want, out.Bytes())
+		}
+	})
+}
+
+// expectedReplies counts the commands a session must answer for input data,
+// and reports whether it must stop at an overlong line instead of EOF or
+// quit. On the way it checks splitFields and atoi against strconv and
+// strings.Fields.
+func expectedReplies(t *testing.T, data []byte) (replies int, tooLong bool) {
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if len(line) >= maxLine {
+			return replies, true
+		}
+		want := strings.Fields(string(line))
+		var buf [maxFields][]byte
+		got := splitFields(line, &buf)
+		if len(got) != min(len(want), maxFields) {
+			t.Fatalf("splitFields(%q) = %q, strings.Fields %q", line, got, want)
+		}
+		for i, f := range got {
+			if string(f) != want[i] {
+				t.Fatalf("splitFields(%q) = %q, strings.Fields %q", line, got, want)
+			}
+			x, ok := atoi(f)
+			if wx, err := strconv.Atoi(want[i]); ok != (err == nil) || (ok && x != wx) {
+				t.Fatalf("atoi(%q) = %d, %v; strconv.Atoi %d, %v", f, x, ok, wx, err)
+			}
+		}
+		if len(want) == 0 {
+			continue
+		}
+		if want[0] == "quit" || want[0] == "exit" {
+			return replies, false
+		}
+		replies++
+	}
+	return replies, false
+}
+
+// lockedBuffer is an output both a session and the shutdown path write to.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServeStdinShutdownKeepsWholeReplies streams route lines on stdin and
+// sends SIGINT mid-stream: every reply written must be whole, and all of them
+// must come before the final stats line, which ends the output.
+func TestServeStdinShutdownKeepsWholeReplies(t *testing.T) {
+	snap, n := writeSnapshot(t)
+	inR, inW := io.Pipe()
+	var out lockedBuffer
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"-snapshot", snap, "-workers", "1"}, inR, &out) }()
+	go func() {
+		var b bytes.Buffer
+		for i := 0; ; i++ {
+			b.Reset()
+			for j := range 64 {
+				k := 64*i + j
+				fmt.Fprintf(&b, "route %d %d\n", k%n, (7*k+3)%n)
+			}
+			if _, err := inW.Write(b.Bytes()); err != nil {
+				return
+			}
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); strings.Count(out.String(), "\n") < 2000; {
+		if time.Now().After(deadline) {
+			t.Fatalf("too few replies before the signal:\n%s", out.String())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown returned %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not shut down within 10s")
+	}
+	inR.Close()
+	text := out.String()
+	if !strings.HasSuffix(text, "\n") {
+		t.Fatalf("output ends in a partial line: %q", text[max(0, len(text)-80):])
+	}
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	last := lines[len(lines)-1]
+	if !strings.HasPrefix(last, "# shutdown: stats queries=") {
+		t.Fatalf("last line %q, want the final stats line", last)
+	}
+	for i, line := range lines[1 : len(lines)-1] {
+		if f := strings.Fields(line); len(f) != 6 || f[0] != "route" || !strings.HasPrefix(f[5], "header=") {
+			t.Fatalf("line %d is not a whole route reply: %q", i+1, line)
+		}
 	}
 }

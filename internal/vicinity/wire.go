@@ -228,7 +228,7 @@ func DecodeSetsV2(d *wire.Decoder, n int) ([]*Set, error) {
 		d.Failf("vicinity member arrays disagree on the member count")
 		return nil, d.Err()
 	}
-for u := 0; u < n; u++ {
+	for u := 0; u < n; u++ {
 		if offs[u+1] < offs[u] {
 			d.Failf("vicinity offsets not monotone at %d", u)
 			return nil, d.Err()
