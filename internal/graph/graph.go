@@ -25,9 +25,8 @@
 //
 // Every search kernel (ShortestPaths, Nearest, the pruned cluster searches of
 // other packages) draws its scratch state - distance/parent/first buffers, a
-// 4-ary heap, a head-indexed BFS queue - from a per-graph pool of Workspaces
-// instead
-// of allocating per call. Visited and finalized sets are epoch-stamped arrays
+// 4-ary heap, a radix queue, a head-indexed BFS queue - from a per-graph pool
+// of Workspaces instead of allocating per call. Visited and finalized sets are epoch-stamped arrays
 // (seen[v] == current epoch means "touched this search"), so starting a new
 // search is a single epoch increment rather than an O(n) clear. See
 // Workspace for the invariants.

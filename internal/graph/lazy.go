@@ -41,9 +41,10 @@ type LazyStats struct {
 
 // LazyAPSP is a PathSource that computes per-source shortest-path rows on
 // demand and retains them in a concurrency-safe sharded LRU cache bounded by
-// a memory budget. Rows come from the same deterministic ShortestPaths
-// tie-break as DenseAPSP, so every query answer is bit-identical to the dense
-// matrix; only wall-clock time and memory differ. It is the construction
+// a memory budget. Rows come from the same single-source kernel as
+// DenseAPSP, with the (dist, id) tie-break of ShortestPaths, so every query
+// answer is bit-identical to the dense matrix; only wall-clock time and
+// memory differ. It is the construction
 // path for graphs where the Theta(n^2) dense matrices cannot be allocated.
 //
 // Concurrent Row calls for the same uncached source may compute the row more

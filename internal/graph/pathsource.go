@@ -27,11 +27,12 @@ type Row struct {
 //     allocated.
 //
 // Both are backed by the same deterministic single-source search (BFS in
-// fixed port order on unit graphs, a (dist, id)-ordered heap otherwise),
-// running over the graph's CSR arrays with scratch from its workspace pool,
-// so Dist, First, Path and Row return bit-identical values on both
-// implementations - and therefore every scheme constructed through this
-// interface is independent of the implementation choice. Any third
+// fixed port order on unit graphs, otherwise a radix-queue Dijkstra whose
+// rows equal those of a (dist, id)-order search), running over the graph's
+// CSR arrays with scratch from its workspace pool, so Dist, First, Path and
+// Row return bit-identical values on both implementations - and therefore
+// every scheme constructed through this interface is independent of the
+// implementation choice. Any third
 // implementation must produce rows identical to ShortestPaths, not merely
 // some shortest path.
 type PathSource interface {

@@ -8,9 +8,12 @@ var Infinity = math.Inf(1)
 // SSSP holds a single-source shortest-path tree: distances, tree parents and
 // the first hop of a shortest path from the source to every vertex.
 //
-// Ties between equal-length paths are broken deterministically by the order
-// in which the priority queue pops vertices: by distance first and by vertex
-// id second, so two runs over the same graph always produce the same tree.
+// Ties between equal-length paths are broken deterministically: the tree
+// equals that of a search finalizing vertices in (dist, id) order, where each
+// vertex takes its parent from the first tight predecessor finalized, so two
+// runs over the same graph always produce the same tree. On weighted graphs
+// the kernel that produces it is a radix-queue Dijkstra with the tie-break
+// in its relax step (dijkstraInto); on unit graphs it is a BFS in port order.
 type SSSP struct {
 	Source Vertex
 	Dist   []float64
@@ -38,8 +41,19 @@ func (g *Graph) ShortestPaths(src Vertex) *SSSP {
 // searchInto runs the full single-source search from src, writing distances,
 // first hops and (when non-nil) tree parents into the caller's slices - the
 // allocation-free core shared by ShortestPaths, AllPairs and the LazyAPSP
-// row fill. All transient state (heap, BFS queue) lives in ws.
+// row fill. All transient state (radix queue, heap, BFS queue) lives in ws.
 func (g *Graph) searchInto(ws *Workspace, src Vertex, dist []float64, parent, first []Vertex) {
+	initRow(src, dist, parent, first)
+	if g.unit {
+		g.bfsInto(ws, src, dist, parent, first)
+	} else {
+		g.dijkstraInto(ws, src, dist, parent, first)
+	}
+}
+
+// initRow sets a row to the start state of a search from src: everything
+// unreachable and parentless except src itself.
+func initRow(src Vertex, dist []float64, parent, first []Vertex) {
 	for i := range dist {
 		dist[i] = Infinity
 	}
@@ -53,11 +67,6 @@ func (g *Graph) searchInto(ws *Workspace, src Vertex, dist []float64, parent, fi
 	}
 	dist[src] = 0
 	first[src] = src
-	if g.unit {
-		g.bfsInto(ws, src, dist, parent, first)
-	} else {
-		g.dijkstraInto(ws, src, dist, parent, first)
-	}
 }
 
 // bfsInto is the unit-weight search. The frontier lives in the workspace's
@@ -90,12 +99,87 @@ func (g *Graph) bfsInto(ws *Workspace, src Vertex, dist []float64, parent, first
 	}
 }
 
-// dijkstraInto is the weighted search: a lazy-deletion Dijkstra over the
-// workspace's 4-ary heap. Stale heap entries are recognized by distance
-// mismatch (relaxations are strict improvements, so a popped entry matching
-// its label is the finalizing pop), preserving the exact (dist, id)
-// finalization order of the original done-set implementation.
+// dijkstraInto is the weighted search. It runs over the workspace's monotone
+// radix queue, which pops in distance order only, and restores the canonical
+// tie-break in the relax step instead: when a relaxation ties v's label, the
+// predecessor with the smaller (dist, id) takes parent[v] and first[v]. Edge
+// weights are positive, so every tight predecessor of v settles (strictly
+// closer) before v does, and v ends up with the predecessor a (dist, id)-order
+// search would have finalized first - the rows are bit-identical to
+// dijkstraHeapInto's. The one exception is a weight absorbed by rounding,
+// fl(d + w) == d, which ties a vertex with its predecessor; the radix pass
+// detects it and the row is recomputed by dijkstraHeapInto.
 func (g *Graph) dijkstraInto(ws *Workspace, src Vertex, dist []float64, parent, first []Vertex) {
+	if g.radixInto(ws, src, dist, parent, first) {
+		return
+	}
+	initRow(src, dist, parent, first)
+	g.dijkstraHeapInto(ws, src, dist, parent, first)
+}
+
+// radixInto is the radix-queue pass of dijkstraInto. It reports false,
+// leaving the row partly filled, as soon as a relaxation meets an absorbed
+// weight. Without a caller parent slice the workspace's parent array holds
+// the tie-break parents; the labels are invalidated first, so the scratch
+// writes never leak into a later workspace search. Parents are read only
+// for vertices already labeled in this search, so the scratch needs no
+// clearing.
+func (g *Graph) radixInto(ws *Workspace, src Vertex, dist []float64, parent, first []Vertex) bool {
+	par := parent
+	if par == nil {
+		ws.Reset()
+		par = ws.parent
+	}
+	q := &ws.radix
+	q.reset()
+	q.push(0, src)
+	for q.len() > 0 {
+		key, u := q.pop()
+		d := math.Float64frombits(key)
+		if d != dist[u] {
+			continue // superseded by a shorter relaxation
+		}
+		fu := first[u]
+		for i := g.off[u]; i < g.off[u+1]; i++ {
+			v := g.to[i]
+			nd := d + g.w[i]
+			dv := dist[v]
+			if !(nd <= dv) { // also skips a NaN sum, as the heap's nd < dv does
+				continue
+			}
+			if nd == d {
+				return false // weight absorbed by rounding
+			}
+			if nd == dv {
+				// Tie. An infinite sum (overflow) ties only unlabeled v.
+				// Otherwise the current parent settled no later than u, so
+				// it keeps v unless it sits at u's distance with a larger id.
+				if p := par[v]; dv == Infinity || dist[p] != d || p < u {
+					continue
+				}
+			} else {
+				dist[v] = nd
+				q.push(math.Float64bits(nd), v)
+			}
+			par[v] = u
+			if u == src {
+				first[v] = v
+			} else {
+				first[v] = fu
+			}
+		}
+	}
+	return true
+}
+
+// dijkstraHeapInto is the (dist, id)-order search: a lazy-deletion Dijkstra
+// over the workspace's 4-ary heap. Stale heap entries are recognized by
+// distance mismatch (relaxations are strict improvements, so a popped entry
+// matching its label is the finalizing pop). The first tight predecessor in
+// pop order labels each vertex, which defines the canonical rows; it is the
+// fallback of dijkstraInto for absorbed weights and the reference the radix
+// pass is tested against.
+func (g *Graph) dijkstraHeapInto(ws *Workspace, src Vertex, dist []float64, parent, first []Vertex) {
 	h := &ws.heap
 	h.reset()
 	h.push(0, src)

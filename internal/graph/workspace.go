@@ -1,8 +1,11 @@
 package graph
 
+import "math/bits"
+
 // Workspace is the reusable scratch state of one search over one graph: the
 // tentative-distance/parent labels of a Dijkstra-style search, a 4-ary
-// min-heap, a head-indexed BFS queue, and epoch-stamped membership sets. Acquire one
+// min-heap, the radix queue of the full-row weighted search, a head-indexed
+// BFS queue, and epoch-stamped membership sets. Acquire one
 // from the owning graph's pool (AcquireWorkspace / ReleaseWorkspace); a
 // workspace is sized for that graph and must not be used with another.
 //
@@ -17,11 +20,16 @@ package graph
 //
 // # Determinism
 //
-// The heap orders items by (dist, id), the exact tie-break contract of
-// ShortestPaths, and a 4-ary heap pops the same (dist, id) sequence as any
+// The tie-break contract of ShortestPaths is that rows equal those of a
+// search finalizing vertices in (dist, id) order. The heap pops in exactly
+// that order, and a 4-ary heap pops the same (dist, id) sequence as any
 // other min-heap under that total order (entries for equal keys are
 // duplicates of one vertex and indistinguishable), so switching heap shape
-// or reusing a pooled workspace never changes any search result.
+// or reusing a pooled workspace never changes any search result. Pruned
+// searches built on Pop and Peek (Nearest, BoundedBidiDist, the cluster
+// searches) rely on those strict (dist, id) pops. The full-row weighted
+// search pops its radix queue in distance order only and restores the same
+// rows with a tie-break in its relax step (see Graph.dijkstraInto).
 //
 // A Workspace is not safe for concurrent use; the pool hands each goroutine
 // its own.
@@ -31,7 +39,8 @@ type Workspace struct {
 	seen   []uint32 // seen[v] == epoch: dist/parent of v are valid
 	epoch  uint32
 	heap   heap4
-	queue  []Vertex // BFS queue storage, drained by a head index (never wraps)
+	radix  radixQueue // full-row weighted search (Graph.dijkstraInto)
+	queue  []Vertex   // BFS queue storage, drained by a head index (never wraps)
 }
 
 func newWorkspace(n int) *Workspace {
@@ -216,4 +225,69 @@ func (h *heap4) pop() (float64, Vertex) {
 		i = small
 	}
 	return d, v
+}
+
+// radixQueue is a monotone radix heap over uint64 keys: the IEEE bits of
+// non-negative float64 distances, which order exactly as the distances do.
+// Every pushed key must be at least the last popped one, which Dijkstra
+// guarantees. An item whose key differs from the last popped key first in
+// bit b-1 sits in bucket b, so bucket 0 holds the items at the current
+// minimum; when it runs dry the lowest non-empty bucket is split around its
+// own minimum into lower buckets. Each item moves down at most 64 times,
+// and in practice a few, which is much cheaper than the sift comparisons of
+// a heap. Items with equal keys pop in no particular order: callers that
+// need a (dist, id) order must restore it themselves (dijkstraInto does in
+// its relax step) or use heap4.
+type radixQueue struct {
+	last    uint64
+	n       int
+	buckets [65][]radixItem
+}
+
+type radixItem struct {
+	key uint64
+	v   Vertex
+}
+
+func (q *radixQueue) len() int { return q.n }
+
+func (q *radixQueue) reset() {
+	for i := range q.buckets {
+		q.buckets[i] = q.buckets[i][:0]
+	}
+	q.last, q.n = 0, 0
+}
+
+func (q *radixQueue) push(key uint64, v Vertex) {
+	b := bits.Len64(key ^ q.last)
+	q.buckets[b] = append(q.buckets[b], radixItem{key, v})
+	q.n++
+}
+
+// pop removes an item with the minimum key; the queue must be non-empty.
+func (q *radixQueue) pop() (uint64, Vertex) {
+	if len(q.buckets[0]) == 0 {
+		i := 1
+		for len(q.buckets[i]) == 0 {
+			i++
+		}
+		b := q.buckets[i]
+		last := b[0].key
+		for _, it := range b[1:] {
+			if it.key < last {
+				last = it.key
+			}
+		}
+		q.last = last
+		for _, it := range b {
+			j := bits.Len64(it.key ^ last)
+			q.buckets[j] = append(q.buckets[j], it)
+		}
+		q.buckets[i] = b[:0]
+	}
+	b0 := q.buckets[0]
+	it := b0[len(b0)-1]
+	q.buckets[0] = b0[:len(b0)-1]
+	q.n--
+	return it.key, it.v
 }
