@@ -38,11 +38,7 @@ func exitEdge(paths graph.PathSource, vic *vicinity.Set, x, v graph.Vertex) (y, 
 // By construction of the sequences one of the two always applies: Property 1
 // keeps a waypoint inside the vicinities of every intermediate vertex.
 func forwardToward(g *graph.Graph, vics []*vicinity.Set, at, target graph.Vertex) (graph.Port, error) {
-	if first, ok := vics[at].FirstHop(target); ok {
-		p := g.PortTo(at, first)
-		if p == graph.NoPort {
-			return graph.NoPort, fmt.Errorf("core: vicinity first hop %d of %d is not a neighbor", first, at)
-		}
+	if p, ok := vics[at].FirstPort(target); ok {
 		return p, nil
 	}
 	if p := g.PortTo(at, target); p != graph.NoPort {

@@ -74,7 +74,7 @@ func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) 
 	if err != nil {
 		return nil, err
 	}
-	vics, err := vicinity.DecodeSetsV2(vd, n)
+	vics, err := vicinity.DecodeSetsV2(vd, g)
 	if err != nil {
 		return nil, err
 	}

@@ -293,11 +293,11 @@ func decision(deliver bool, port graph.Port, err error) (simnet.Decision, error)
 }
 
 func (s *Scheme) vicinityStep(at, target graph.Vertex) (simnet.Decision, error) {
-	first, ok := s.vc.Vics[at].FirstHop(target)
+	port, ok := s.vc.Vics[at].FirstPort(target)
 	if !ok {
 		return simnet.Decision{}, fmt.Errorf("scheme2: %d lost vicinity target %d", at, target)
 	}
-	return simnet.Forward(s.g.PortTo(at, first)), nil
+	return simnet.Forward(port), nil
 }
 
 // HeaderWords implements simnet.Scheme.

@@ -161,11 +161,11 @@ func (s *Scheme) Next(at graph.Vertex, p simnet.Packet) (simnet.Decision, error)
 }
 
 func (s *Scheme) vicinityStep(at, target graph.Vertex) (simnet.Decision, error) {
-	first, ok := s.vc.Vics[at].FirstHop(target)
+	port, ok := s.vc.Vics[at].FirstPort(target)
 	if !ok {
 		return simnet.Decision{}, fmt.Errorf("scheme3: %d lost vicinity target %d", at, target)
 	}
-	return simnet.Forward(s.g.PortTo(at, first)), nil
+	return simnet.Forward(port), nil
 }
 
 // HeaderWords implements simnet.Scheme.

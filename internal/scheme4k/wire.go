@@ -97,7 +97,7 @@ func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error
 	if err != nil {
 		return nil, err
 	}
-	vics, err := vicinity.DecodeSetsV2(vd, n)
+	vics, err := vicinity.DecodeSetsV2(vd, g)
 	if err != nil {
 		return nil, err
 	}

@@ -44,6 +44,9 @@
 //     nearest-landmark entry moved, an updated edge lies on an old or new
 //     canonical p_A(v)-v geodesic, or p_A(v) is an update endpoint (edge
 //     updates renumber the ports at their endpoints).
+//   - For the same reason the vicinity table of an update endpoint, which
+//     stores first-edge ports, is replaced even when its members did not
+//     change; it does not count as a changed vicinity.
 package scheme5
 
 import (
@@ -202,7 +205,12 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 	// into relay, coloring and sequence dirtiness. An unchanged vicinity keeps
 	// the old Set pointer (observationally identical, shares memory); its
 	// fresh settled list still feeds the touch update, because the search
-	// footprint can move even when the member set does not.
+	// footprint can move even when the member set does not. The one
+	// exception is a vicinity centered at an update endpoint: its table
+	// stores first-edge ports, and inserting or deleting an edge renumbers
+	// the ports at both endpoints, so it takes the fresh Set (a table on
+	// newG) without counting as changed. Every endpoint is in the dirty set,
+	// since a center's own search always settles it.
 	dirtyVics := r.touch.DirtyCenters(endpoints)
 	st.DirtyVics = len(dirtyVics)
 	newVics := make([]*vicinity.Set, n)
@@ -218,6 +226,9 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 		}
 		settledSl[i] = settled
 		if set.Equal(s.vc.Vics[u]) {
+			if endpointSet[u] {
+				newVics[u] = set
+			}
 			return nil
 		}
 		changedSl[i] = true

@@ -10,6 +10,7 @@ import (
 	"compactroute/internal/graph"
 	"compactroute/internal/live"
 	"compactroute/internal/scheme5"
+	"compactroute/internal/simnet"
 	"compactroute/internal/testutil"
 	"compactroute/internal/wire"
 )
@@ -225,4 +226,119 @@ func TestRepairSingleDelete(t *testing.T) {
 		t.Fatalf("single delete: repaired snapshot differs (stats %+v)", stats)
 	}
 	t.Logf("single delete stats: %+v", stats)
+}
+
+// TestDeterminismRepairRoutesMatchRebuild routes every ordered pair on a
+// repaired scheme and on a from-scratch build and requires identical
+// routes. Each update - a deletion, an insertion and a reweight, applied in
+// turn - touches an edge on no shortest path, so every vicinity stays clean
+// and the repair shares the old Sets. The deletion and the insertion still
+// renumber the ports at their endpoints, which the vicinity tables store;
+// snapshot bytes (TestRepairBitIdentical) cannot see a stale port because
+// the tables are not serialized, but a route through the endpoint can.
+func TestDeterminismRepairRoutesMatchRebuild(t *testing.T) {
+	g := testutil.MustGNM(t, 120, 420, 4, gen.UniformInt)
+	params := scheme5.Params{Eps: 0.5, Seed: 4}
+	rep, err := scheme5.NewRepairable(g, graph.AllPairs(g), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// slack returns an edge {x, y} (x < y) of cur that lies on no shortest
+	// path, w(x, y) > d(x, y), skipping edges at the vertices in avoid.
+	slack := func(cur *graph.Graph, avoid map[graph.Vertex]bool) (graph.Vertex, graph.Vertex, float64) {
+		apsp := graph.AllPairs(cur)
+		for u := 0; u < cur.N(); u++ {
+			x := graph.Vertex(u)
+			var y graph.Vertex = graph.NoVertex
+			var wy float64
+			cur.Neighbors(x, func(_ graph.Port, v graph.Vertex, w float64) bool {
+				if x < v && w > apsp.Dist(x, v) && !avoid[x] && !avoid[v] {
+					y, wy = v, w
+					return false
+				}
+				return true
+			})
+			if y != graph.NoVertex {
+				return x, y, wy
+			}
+		}
+		t.Fatal("no edge off every shortest path")
+		return 0, 0, 0
+	}
+	avoid := make(map[graph.Vertex]bool)
+	cur := rep
+	for _, kind := range []string{"delete", "insert", "reweight"} {
+		cg := cur.Scheme().Graph()
+		ov := live.NewOverlay(cg)
+		var e [2]graph.Vertex
+		switch kind {
+		case "delete":
+			x, y, _ := slack(cg, avoid)
+			e = [2]graph.Vertex{x, y}
+			if err := ov.Apply(live.DelEdge(x, y)); err != nil {
+				t.Fatal(err)
+			}
+		case "insert":
+			// A new edge heavier than its endpoints' distance; the endpoint
+			// x is chosen with neighbors on both sides of y so that the new
+			// port lands before an existing one.
+			apsp := graph.AllPairs(cg)
+			found := false
+			for u := 0; u < cg.N() && !found; u++ {
+				x := graph.Vertex(u)
+				if avoid[x] || cg.Degree(x) < 2 {
+					continue
+				}
+				lo, _, _ := cg.Endpoint(x, 0)
+				hi, _, _ := cg.Endpoint(x, graph.Port(cg.Degree(x)-1))
+				for y := lo + 1; y < hi; y++ {
+					if !avoid[y] && !cg.HasEdge(x, y) && x != y {
+						e, found = [2]graph.Vertex{x, y}, true
+						if err := ov.Apply(live.AddEdge(x, y, apsp.Dist(x, y)+1)); err != nil {
+							t.Fatal(err)
+						}
+						break
+					}
+				}
+			}
+			if !found {
+				t.Fatal("no vertex pair for a port-shifting insertion")
+			}
+		case "reweight":
+			x, y, w := slack(cg, avoid)
+			e = [2]graph.Vertex{x, y}
+			if err := ov.Apply(live.SetWeight(x, y, w+5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avoid[e[0]], avoid[e[1]] = true, true
+		ng, err := ov.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, stats, err := cur.Repair(ng, graph.AllPairs(ng), [][2]graph.Vertex{e})
+		if err != nil {
+			t.Fatalf("%s {%d,%d}: repair: %v", kind, e[0], e[1], err)
+		}
+		if stats.Edges != 1 || stats.ChangedVics != 0 {
+			t.Fatalf("%s {%d,%d}: want one update and no changed vicinity, got %+v", kind, e[0], e[1], stats)
+		}
+		fresh, err := scheme5.New(ng, graph.AllPairs(ng), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := simnet.NewNetwork(next.Scheme()), simnet.NewNetwork(fresh)
+		for u := 0; u < ng.N(); u++ {
+			for v := 0; v < ng.N(); v++ {
+				src, dst := graph.Vertex(u), graph.Vertex(v)
+				a, errA := got.Route(src, dst)
+				b, errB := want.Route(src, dst)
+				if (errA != nil) != (errB != nil) || a.Hops != b.Hops || a.Weight != b.Weight || a.HeaderWords != b.HeaderWords {
+					t.Fatalf("%s {%d,%d}: route %d->%d: repaired %+v (%v), rebuilt %+v (%v)",
+						kind, e[0], e[1], src, dst, a, errA, b, errB)
+				}
+			}
+		}
+		cur = next
+	}
 }

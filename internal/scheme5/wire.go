@@ -92,7 +92,7 @@ func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) 
 	if err != nil {
 		return nil, err
 	}
-	vics, err := vicinity.DecodeSets(vd, n)
+	vics, err := vicinity.DecodeSets(vd, g)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +203,7 @@ func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error
 	if err != nil {
 		return nil, err
 	}
-	vics, err := vicinity.DecodeSetsV2(vd, n)
+	vics, err := vicinity.DecodeSetsV2(vd, g)
 	if err != nil {
 		return nil, err
 	}

@@ -177,7 +177,7 @@ func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) 
 		if q < 1 || q > n {
 			return nil, fmt.Errorf("schemegl: snapshot level %d has q=%d outside [1,%d]", i, q, n)
 		}
-		vics, err := vicinity.DecodeSetsV2(vd, n)
+		vics, err := vicinity.DecodeSetsV2(vd, g)
 		if err != nil {
 			return nil, fmt.Errorf("schemegl: level %d vicinities: %w", i, err)
 		}

@@ -1,6 +1,7 @@
 package schemeutil_test
 
 import (
+	"math"
 	"testing"
 
 	"compactroute/internal/cluster"
@@ -29,7 +30,13 @@ func TestVicinityColoringRepresentatives(t *testing.T) {
 			if !vc.Vics[u].Contains(rep) {
 				t.Fatalf("rep %d not in B(%d)", rep, u)
 			}
-			d, _ := vc.Vics[u].Dist(rep)
+			d := math.Inf(1)
+			for i, sz := 0, vc.Vics[u].Size(); i < sz; i++ {
+				if vc.Vics[u].MemberV(i) == rep {
+					d = vc.Vics[u].MemberDist(i)
+					break
+				}
+			}
 			if d != vc.RepDist[u][c] {
 				t.Fatalf("rep dist mismatch at %d color %d", u, c)
 			}

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"compactroute/internal/graph"
-	"compactroute/internal/parallel"
 )
 
 // Touch maps each vertex to the centers whose truncated Nearest search
@@ -104,19 +103,9 @@ func (t *Touch) Updated(repl map[graph.Vertex][]graph.Vertex) *Touch {
 // BuildAllTouch computes B(u, l) for every vertex in parallel, like
 // BuildAll, and additionally returns the reverse touch index of the family.
 func BuildAllTouch(g *graph.Graph, l int) ([]*Set, *Touch, error) {
-	n := g.N()
-	sets := make([]*Set, n)
-	settled := make([][]graph.Vertex, n)
-	if err := parallel.ForErr(n, func(u int) error {
-		s, sv, err := BuildTouch(g, graph.Vertex(u), l)
-		if err != nil {
-			return err
-		}
-		sets[u] = s
-		settled[u] = sv
-		return nil
-	}); err != nil {
+	sets, settled, err := buildFamily(g, l, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	return sets, NewTouch(n, settled), nil
+	return sets, NewTouch(g.N(), settled), nil
 }

@@ -4,9 +4,13 @@
 // route a message from u to any v in B(u, l) on a shortest path.
 //
 // Membership lookups - the innermost operation of every scheme's forwarding
-// loop - go through a flat open-addressed table whose entries carry the
-// distance and first hop inline, so a hop usually costs a single cache-line
-// fetch and allocates nothing.
+// loop - go through a flat open-addressed table of 8-byte entries: the member
+// id and the port, at the center, of the first edge of a shortest path to it.
+// A hop therefore costs one probe and no adjacency search, and allocates
+// nothing. The tables of a whole family (BuildAll, BuildAllTouch,
+// DecodeSetsV2) are carved out of one slab, which on Linux is advised onto
+// huge pages: the probes of a serving loop hit random sets, so they are
+// bound by cache and TLB misses, not by probe length.
 package vicinity
 
 import (
@@ -14,8 +18,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"compactroute/internal/graph"
 	"compactroute/internal/parallel"
@@ -44,6 +46,32 @@ type Member struct {
 // work on either storage without allocating; Members materializes a []Member
 // view on demand for the aliased form.
 type Set struct {
+	// Open-addressed membership table (Fibonacci hash, linear probing, load
+	// factor <= 0.5) of 8-byte entries, each a member id and its first-edge
+	// port at the center (FirstPort). Storing the port rather than the
+	// first-hop vertex spares the forwarding loop a binary search of the
+	// center's adjacency on every hop. It is computed once, on the graph the
+	// set belongs to, so a set is only valid on that graph (an edge update
+	// renumbers the ports at both endpoints - see scheme5 Repair). No
+	// distance is stored inline: no hop reads one, and an 8-byte entry
+	// halves the cache lines and pages a serving loop touches. Distances
+	// stay in the member storage (MemberDist).
+	//
+	// The tables of a family share one slab, each set owning a fixed region;
+	// a single Build or Restore allocates its own. Built and v1-decoded sets
+	// fill the table eagerly (construction already walks every member, and
+	// the insert probe doubles as their duplicate check). v2-decoded sets
+	// fill their region on first lookup, under fill - the index analogue of
+	// demand paging, and what keeps the mmap cold start free of per-member
+	// hashing: the strict (dist, id) member order and the first-hop
+	// adjacency checked at decode make the lazy fill infallible. The
+	// lookup fields come first so a probe reads one cache line of the Set
+	// before the slot.
+	tbl   []entry
+	shift uint32 // 32 - log2(len(tbl))
+	fill  sync.Once
+	g     *graph.Graph // graph of a lazily filled table; nil once filled
+
 	center  graph.Vertex
 	radius  float64  // r_u(l) of the paper
 	members []Member // (dist, id) order; nil for v2-decoded sets
@@ -60,58 +88,29 @@ type Set struct {
 	distU      []uint32
 	distU16    []uint16
 	distF      []float64
-	// Open-addressed membership table (Fibonacci hash, linear probing, load
-	// factor <= 0.5). Each entry packs the hot fields of a member - the id the
-	// probe compares against plus the distance and first hop the forwarding
-	// loop asks for - so Contains/Dist/FirstHop usually resolve with a single
-	// cache-line fetch; a sorted-array binary search costs O(log l) scattered
-	// probes per hop, which dominated serving profiles at n = 10^4.
-	//
-	// Built and v1-decoded sets fill the table eagerly (construction already
-	// walks every member, and the insert probe doubles as their duplicate
-	// check). v2-decoded sets leave it nil and build it on first lookup - the
-	// index analogue of demand paging, and what keeps the mmap cold start
-	// free of per-member work: the strict (dist, id) member order checked at
-	// decode makes duplicates impossible, so the lazy build cannot fail and
-	// any racing builders produce identical tables (first CAS wins).
-	//
-	// The table is published as a pointer to its first slot plus the hash
-	// shift (table size is 1 << (32-shift)), both living in the Set struct
-	// itself: a lookup touches only the Set's cache line before the probed
-	// slot, with no intermediate table-descriptor object to chase. shift is
-	// stored before ent is published, so a reader that observes a non-nil ent
-	// also observes the matching shift; racing lazy builders store identical
-	// shift values, making the overlap harmless.
-	ent   atomic.Pointer[vicEntry]
-	shift atomic.Uint32 // 32 - log2(table size)
 }
 
-// vicEntry keys are stored as v+1 so the zero value marks an empty slot: a
-// freshly made (zeroed) table is ready for inserts without a sentinel fill
-// pass, which is what keeps the index rebuild cheap on snapshot load.
-type vicEntry struct {
-	v     graph.Vertex // member id + 1; 0 marks an empty slot
-	first graph.Vertex
-	dist  float64
+// entry is one slot of the membership table. Keys are stored as v+1 so the
+// zero value marks an empty slot: a freshly made (zeroed) table is ready for
+// inserts without a sentinel fill pass.
+type entry struct {
+	v    graph.Vertex // member id + 1; 0 marks an empty slot
+	port graph.Port   // port of the first edge at the center; NoPort for the center itself
 }
 
 // fibMul is the 32-bit Fibonacci hashing multiplier, floor(2^32 / phi).
 const fibMul = 2654435769
 
 // lookup returns the table entry of member v, or nil.
-func (s *Set) lookup(v graph.Vertex) *vicEntry {
+func (s *Set) lookup(v graph.Vertex) *entry {
 	if v < 0 {
 		return nil
 	}
-	p := s.ent.Load()
-	if p == nil {
-		p = s.buildTable()
-	}
-	shift := s.shift.Load()
-	tbl := unsafe.Slice(p, 1<<(32-shift))
+	s.fill.Do(s.fillLazy)
+	tbl := s.tbl
 	mask := uint32(len(tbl) - 1)
 	key := v + 1
-	i := uint32(v) * fibMul >> shift
+	i := uint32(v) * fibMul >> s.shift
 	for {
 		e := &tbl[i]
 		if e.v == key {
@@ -134,63 +133,93 @@ func tblSizeFor(c int) int {
 	return size
 }
 
-// buildIndex eagerly fills the membership table from the members slice. It
-// reports the first duplicated member vertex, or NoVertex when all members
-// are distinct.
-func (s *Set) buildIndex() graph.Vertex {
-	size := tblSizeFor(len(s.members))
-	shift := uint32(32 - bits.TrailingZeros(uint(size)))
-	entries := make([]vicEntry, size)
-	mask := uint32(size - 1)
-	for _, m := range s.members {
-		i := uint32(m.V) * fibMul >> shift
-		for entries[i].v != 0 {
-			if entries[i].v == m.V+1 {
-				return m.V
-			}
-			i = (i + 1) & mask
-		}
-		entries[i] = vicEntry{v: m.V + 1, first: m.First, dist: m.Dist}
+// attach gives s the zeroed table tbl, of length tblSizeFor(s.Size()).
+func (s *Set) attach(tbl []entry) {
+	s.tbl = tbl
+	s.shift = uint32(32 - bits.TrailingZeros(uint(len(tbl))))
+}
+
+// slabTables attaches one zeroed table to every set, all carved out of a
+// single allocation: set u owns the region at the prefix sum of the table
+// sizes before it. The slab is ordinary garbage-collected memory, so sets
+// shared into a later generation (scheme5 Repair) keep it alive.
+func slabTables(sets []*Set) {
+	total := 0
+	for _, s := range sets {
+		total += tblSizeFor(s.Size())
 	}
-	s.shift.Store(shift)
-	s.ent.Store(&entries[0])
+	slab := make([]entry, total)
+	adviseHugePages(slab)
+	off := 0
+	for _, s := range sets {
+		end := off + tblSizeFor(s.Size())
+		s.attach(slab[off:end:end])
+		off = end
+	}
+}
+
+// insertAll writes every member's entry into the attached table, with ports
+// taken on g. It reports the first duplicated member vertex, or NoVertex
+// when all members are distinct.
+func (s *Set) insertAll(g *graph.Graph) graph.Vertex {
+	mask := uint32(len(s.tbl) - 1)
+	for i, c := 0, s.Size(); i < c; i++ {
+		v := s.MemberV(i)
+		port := graph.NoPort
+		if v != s.center {
+			port = g.PortTo(s.center, s.MemberFirst(i))
+		}
+		j := uint32(v) * fibMul >> s.shift
+		for s.tbl[j].v != 0 {
+			if s.tbl[j].v == v+1 {
+				return v
+			}
+			j = (j + 1) & mask
+		}
+		s.tbl[j] = entry{v: v + 1, port: port}
+	}
 	return graph.NoVertex
 }
 
-// buildTable builds the membership index of a v2-decoded set on first
-// lookup. The member views were validated at decode (strict (dist, id)
-// order, so no duplicates), making the build infallible; concurrent callers
-// may race, build identical tables and agree on whichever CAS publishes
-// first.
-func (s *Set) buildTable() *vicEntry {
-	c := len(s.memV)
-	size := tblSizeFor(c)
-	shift := uint32(32 - bits.TrailingZeros(uint(size)))
-	entries := make([]vicEntry, size)
-	mask := uint32(size - 1)
-	for i := 0; i < c; i++ {
-		v := s.memV[i]
-		ti := uint32(v) * fibMul >> shift
-		for entries[ti].v != 0 {
-			ti = (ti + 1) & mask
-		}
-		entries[ti] = vicEntry{v: v + 1, first: s.MemberFirst(i), dist: s.MemberDist(i)}
-	}
-	s.shift.Store(shift)
-	if s.ent.CompareAndSwap(nil, &entries[0]) {
-		return &entries[0]
-	}
-	return s.ent.Load()
+// ownTable gives a set built or restored on its own (not as part of a
+// family) a table of its own and fills it with ports on g, reporting the
+// first duplicated member like insertAll.
+func (s *Set) ownTable(g *graph.Graph) graph.Vertex {
+	s.attach(make([]entry, tblSizeFor(s.Size())))
+	return s.fillEager(g)
+}
+
+// fillEager fills the attached table now, with ports on g, and reports the
+// first duplicated member (NoVertex if none). Later lookups find the fill
+// done and never take the lazy path.
+func (s *Set) fillEager(g *graph.Graph) graph.Vertex {
+	dup := graph.NoVertex
+	s.fill.Do(func() { dup = s.insertAll(g) })
+	return dup
+}
+
+// fillLazy fills the table of a v2-decoded set on its first lookup. The
+// views were validated at decode (no duplicates, every first hop adjacent
+// to the center), so it cannot fail; it drops the graph reference once done.
+func (s *Set) fillLazy() {
+	s.insertAll(s.g)
+	s.g = nil
 }
 
 // validateViews checks the SoA member views of a v2-decoded set in one fused
-// sequential pass: ids in [0,n), first hops in-range member indexes,
+// sequential pass: ids in [0,n), first hops in-range member indexes that are
+// adjacent to the center in g (the port the table will store must exist),
 // distances finite and non-negative, members in strictly increasing
 // (dist, id) order - the canonical order every encoder writes, which rules
 // out duplicates without touching a hash table - and the center present.
 // This pass is the only per-member work of the mmap load path; the
-// membership index itself is built on first lookup.
-func (s *Set) validateViews(n int) error {
+// membership table itself is filled on first lookup. checked is scratch of
+// at least Size() entries shared across the sets of a family: a set marks
+// the member indexes whose adjacency it has verified with its center + 1,
+// so each distinct first hop (at most the center's degree) costs one
+// adjacency search.
+func (s *Set) validateViews(g *graph.Graph, checked []uint32) error {
+	n := g.N()
 	c := len(s.memV)
 	centerSeen := false
 	prevD, prevV := 0.0, graph.Vertex(-1)
@@ -207,6 +236,13 @@ func (s *Set) validateViews(n int) error {
 		}
 		if j >= c {
 			return fmt.Errorf("first-hop index %d of member %d in B(%d) out of range", j, i, s.center)
+		}
+		if v != s.center && checked[j] != uint32(s.center)+1 {
+			// memV[j] is not range-checked yet when j > i.
+			if f := s.memV[j]; f < 0 || int(f) >= n || !g.HasEdge(s.center, f) {
+				return fmt.Errorf("first hop %d of member %d in B(%d) is not adjacent to the center", f, v, s.center)
+			}
+			checked[j] = uint32(s.center) + 1
 		}
 		var dist float64
 		switch {
@@ -238,7 +274,11 @@ func (s *Set) validateViews(n int) error {
 // 0), so l must be at least 1.
 func Build(g *graph.Graph, u graph.Vertex, l int) (*Set, error) {
 	s, _, err := build(g, u, l, false)
-	return s, err
+	if err != nil {
+		return nil, err
+	}
+	s.ownTable(g)
+	return s, nil
 }
 
 // BuildTouch computes B(u, l) exactly like Build and additionally returns
@@ -250,7 +290,38 @@ func Build(g *graph.Graph, u graph.Vertex, l int) (*Set, error) {
 // shorter path into the vicinity must enter through a settled vertex) - and
 // feeds the reverse Touch index the repair path uses to compute dirty sets.
 func BuildTouch(g *graph.Graph, u graph.Vertex, l int) (*Set, []graph.Vertex, error) {
-	return build(g, u, l, true)
+	s, settled, err := build(g, u, l, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.ownTable(g)
+	return s, settled, nil
+}
+
+// buildFamily computes B(u, l) for every vertex in parallel and fills their
+// tables in one slab; settled holds the touch footprints when touch is set.
+func buildFamily(g *graph.Graph, l int, touch bool) (sets []*Set, settled [][]graph.Vertex, err error) {
+	n := g.N()
+	sets = make([]*Set, n)
+	if touch {
+		settled = make([][]graph.Vertex, n)
+	}
+	if err := parallel.ForErr(n, func(u int) error {
+		s, sv, err := build(g, graph.Vertex(u), l, touch)
+		if err != nil {
+			return err
+		}
+		sets[u] = s
+		if touch {
+			settled[u] = sv
+		}
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+	slabTables(sets)
+	parallel.For(n, func(u int) { sets[u].fillEager(g) })
+	return sets, settled, nil
 }
 
 func build(g *graph.Graph, u graph.Vertex, l int, touch bool) (*Set, []graph.Vertex, error) {
@@ -284,8 +355,8 @@ func build(g *graph.Graph, u graph.Vertex, l int, touch bool) (*Set, []graph.Ver
 		center:  u,
 		members: make([]Member, len(near)),
 	}
-	// Construction-time position map for the parent walks; the packed index
-	// replaces it before the Set escapes.
+	// Construction-time position map for the parent walks; the membership
+	// table replaces it before the Set escapes.
 	pos := make(map[graph.Vertex]int32, len(near))
 	for i, nr := range near {
 		first := nr.V
@@ -303,7 +374,6 @@ func build(g *graph.Graph, u graph.Vertex, l int, touch bool) (*Set, []graph.Ver
 		s.members[i] = Member{V: nr.V, Dist: nr.Dist, First: first}
 		pos[nr.V] = int32(i)
 	}
-	s.buildIndex()
 	s.radius = s.computeRadius(all)
 	return s, settled, nil
 }
@@ -339,18 +409,8 @@ func (s *Set) computeRadius(all []graph.NearestResult) float64 {
 
 // BuildAll computes B(u, l) for every vertex in parallel.
 func BuildAll(g *graph.Graph, l int) ([]*Set, error) {
-	sets := make([]*Set, g.N())
-	if err := parallel.ForErr(g.N(), func(u int) error {
-		s, err := Build(g, graph.Vertex(u), l)
-		if err != nil {
-			return err
-		}
-		sets[u] = s
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return sets, nil
+	sets, _, err := buildFamily(g, l, false)
+	return sets, err
 }
 
 // Center returns the vertex this vicinity belongs to.
@@ -403,23 +463,16 @@ func (s *Set) Radius() float64 { return s.radius }
 // Contains reports whether v is in the vicinity.
 func (s *Set) Contains(v graph.Vertex) bool { return s.lookup(v) != nil }
 
-// Dist returns d(center, v) if v is a member.
-func (s *Set) Dist(v graph.Vertex) (float64, bool) {
+// FirstPort returns the port at the center of the first edge of a shortest
+// path to member v - the Lemma 2 routing table entry, resolved to the port
+// the forwarding loop sends on. It reports false for non-members and for
+// the center itself.
+func (s *Set) FirstPort(v graph.Vertex) (graph.Port, bool) {
 	e := s.lookup(v)
-	if e == nil {
-		return math.Inf(1), false
+	if e == nil || e.port == graph.NoPort {
+		return graph.NoPort, false
 	}
-	return e.dist, true
-}
-
-// FirstHop returns the first vertex after the center on a shortest path to
-// member v. This is the Lemma 2 routing table entry.
-func (s *Set) FirstHop(v graph.Vertex) (graph.Vertex, bool) {
-	e := s.lookup(v)
-	if e == nil || v == s.center {
-		return graph.NoVertex, false
-	}
-	return e.first, true
+	return e.port, true
 }
 
 // Members returns the members in (dist, id) order. For built and v1-decoded
@@ -439,10 +492,12 @@ func (s *Set) Members() []Member {
 
 // Equal reports whether two vicinities hold the exact same routing state:
 // same center, radius, and member triples (id, distance, first hop) in the
-// canonical (dist, id) order. Two equal sets are observationally identical -
-// every Contains/Dist/FirstHop/MemberV/MemberDist/MemberFirst/MaxDist call
-// agrees - which is what lets the repair path treat a rebuilt-but-unchanged
-// vicinity as clean and stop its dirtiness from cascading.
+// canonical (dist, id) order. Two equal sets on the same graph are
+// observationally identical - every Contains/FirstPort/MemberV/MemberDist/
+// MemberFirst/MaxDist call agrees - which is what lets the repair path treat
+// a rebuilt-but-unchanged vicinity as clean and stop its dirtiness from
+// cascading. Equal does not compare ports: on a graph whose adjacency at the
+// center changed, an equal set still needs a fresh table.
 func (s *Set) Equal(o *Set) bool {
 	if s == o {
 		return true

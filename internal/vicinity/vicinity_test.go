@@ -92,16 +92,19 @@ func TestLemma2Routing(t *testing.T) {
 			at := graph.Vertex(u)
 			var total float64
 			for at != m.V {
-				first, ok := sets[at].FirstHop(m.V)
+				port, ok := sets[at].FirstPort(m.V)
 				if !ok {
 					t.Fatalf("vertex %d on route %d->%d lost the target", at, u, m.V)
 				}
-				w, err := g.EdgeWeight(at, first)
-				if err != nil {
-					t.Fatalf("first hop %d is not a neighbor of %d", first, at)
+				if int(port) >= g.Degree(at) {
+					t.Fatalf("first port %d of %d is out of range", port, at)
+				}
+				next, w, _ := g.Endpoint(at, port)
+				if next != m.First && at == graph.Vertex(u) {
+					t.Fatalf("first port of %d->%d leads to %d, want the first hop %d", u, m.V, next, m.First)
 				}
 				total += w
-				at = first
+				at = next
 				if total > a.Dist(graph.Vertex(u), m.V)+testutil.Eps {
 					t.Fatalf("route %d->%d exceeded shortest distance", u, m.V)
 				}

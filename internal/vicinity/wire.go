@@ -8,11 +8,14 @@ import (
 	"compactroute/internal/wire"
 )
 
-// Restore reconstructs a Set from serialized parts: the center, the radius
-// r_u(l) (which cannot be re-derived from the members alone - it depends on
-// the first excluded vertex of the truncated search), and the members in
-// their original (dist, id) order. n bounds the vertex ids.
-func Restore(n int, center graph.Vertex, radius float64, members []Member) (*Set, error) {
+// Restore reconstructs a Set of g from serialized parts: the center, the
+// radius r_u(l) (which cannot be re-derived from the members alone - it
+// depends on the first excluded vertex of the truncated search), and the
+// members in their original (dist, id) order. Every first hop but the
+// center's must be a neighbor of the center in g, whose ports the table
+// stores.
+func Restore(g *graph.Graph, center graph.Vertex, radius float64, members []Member) (*Set, error) {
+	n := g.N()
 	if center < 0 || int(center) >= n {
 		return nil, fmt.Errorf("vicinity: restore: center %d out of range [0,%d)", center, n)
 	}
@@ -31,8 +34,11 @@ func Restore(n int, center graph.Vertex, radius float64, members []Member) (*Set
 		if math.IsNaN(m.Dist) || m.Dist < 0 {
 			return nil, fmt.Errorf("vicinity: restore: member %d of B(%d) has invalid distance %v", m.V, center, m.Dist)
 		}
+		if m.V != center && !g.HasEdge(center, m.First) {
+			return nil, fmt.Errorf("vicinity: restore: first hop %d of member %d in B(%d) is not adjacent to the center", m.First, m.V, center)
+		}
 	}
-	if dup := s.buildIndex(); dup != graph.NoVertex {
+	if dup := s.ownTable(g); dup != graph.NoVertex {
 		return nil, fmt.Errorf("vicinity: restore: duplicate member %d in B(%d)", dup, center)
 	}
 	if s.lookup(center) == nil {
@@ -80,8 +86,9 @@ const (
 // width that fits, and distances as a tagged uint16, uint32 or float64
 // array. The fixed-width arrays decode as
 // zero-copy aliases over the mapped snapshot; the per-set Fibonacci-hash
-// membership tables are not serialized at all - they are rebuilt on first
-// lookup. The section this lands in must be an AlignedSection.
+// membership tables are not serialized at all - they hold ports of the
+// decoding graph and are filled on first lookup. The section this lands in
+// must be an AlignedSection.
 func EncodeSetsV2(e *wire.Encoder, sets []*Set) error {
 	n := len(sets)
 	radii := make([]float64, n)
@@ -170,12 +177,14 @@ func EncodeSetsV2(e *wire.Encoder, sets []*Set) error {
 	return nil
 }
 
-// DecodeSetsV2 reads n vicinities written by EncodeSetsV2. The member
-// arrays alias the snapshot bytes (read-only); the per-member work of the
-// mmap load path is one fused validation pass per set (Set.validateViews),
-// and the membership hash tables are built lazily on first lookup, so the
-// cold start stays near page-table cost.
-func DecodeSetsV2(d *wire.Decoder, n int) ([]*Set, error) {
+// DecodeSetsV2 reads the g.N() vicinities of g written by EncodeSetsV2. The
+// member arrays alias the snapshot bytes (read-only); the per-member work of
+// the mmap load path is one fused validation pass per set
+// (Set.validateViews). The membership tables get their regions of one slab
+// here and are filled lazily on first lookup, so the cold start stays near
+// page-table cost.
+func DecodeSetsV2(d *wire.Decoder, g *graph.Graph) ([]*Set, error) {
+	n := g.N()
 	// Set structs, slice headers and radii are charged before allocation.
 	if !d.Alloc(int64(n) * 128) {
 		return nil, d.Err()
@@ -228,6 +237,7 @@ func DecodeSetsV2(d *wire.Decoder, n int) ([]*Set, error) {
 		d.Failf("vicinity member arrays disagree on the member count")
 		return nil, d.Err()
 	}
+	slots, maxC := 0, 0
 	for u := 0; u < n; u++ {
 		if offs[u+1] < offs[u] {
 			d.Failf("vicinity offsets not monotone at %d", u)
@@ -238,11 +248,18 @@ func DecodeSetsV2(d *wire.Decoder, n int) ([]*Set, error) {
 			d.Failf("B(%d) claims %d members (n=%d)", u, c, n)
 			return nil, d.Err()
 		}
+		slots += tblSizeFor(c)
+		maxC = max(maxC, c)
+	}
+	if !d.Alloc(int64(slots) * 8) { // the table slab
+		return nil, d.Err()
 	}
 	sets := make([]*Set, n)
+	checked := make([]uint32, maxC)
 	for u := 0; u < n; u++ {
 		base, end := int(offs[u]), int(offs[u+1])
 		s := &Set{
+			g:      g,
 			center: graph.Vertex(u),
 			radius: radii[u],
 			memV:   memV[base:end:end],
@@ -260,17 +277,19 @@ func DecodeSetsV2(d *wire.Decoder, n int) ([]*Set, error) {
 		default:
 			s.distF = distF[base:end:end]
 		}
-		if err := s.validateViews(n); err != nil {
+		if err := s.validateViews(g, checked); err != nil {
 			d.Failf("%v", err)
 			return nil, d.Err()
 		}
 		sets[u] = s
 	}
+	slabTables(sets)
 	return sets, nil
 }
 
-// DecodeSets reads n vicinities written by EncodeSets.
-func DecodeSets(d *wire.Decoder, n int) ([]*Set, error) {
+// DecodeSets reads the g.N() vicinities of g written by EncodeSets.
+func DecodeSets(d *wire.Decoder, g *graph.Graph) ([]*Set, error) {
+	n := g.N()
 	if !d.Alloc(int64(n) * 16) { // n slice headers + set structs
 		return nil, d.Err()
 	}
@@ -288,7 +307,7 @@ func DecodeSets(d *wire.Decoder, n int) ([]*Set, error) {
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		s, err := Restore(n, graph.Vertex(u), radius, members)
+		s, err := Restore(g, graph.Vertex(u), radius, members)
 		if err != nil {
 			d.Failf("%v", err)
 			return nil, d.Err()

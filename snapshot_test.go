@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"compactroute"
+	"compactroute/internal/graph"
+	"compactroute/internal/wire"
 )
 
 // snapRow names one snapshot-capable scheme constructor.
@@ -398,5 +403,77 @@ func TestSnapshotResealedCorruptionSweep(t *testing.T) {
 				_, _ = compactroute.LoadScheme(bytes.NewReader(reseal(bad)))
 			}
 		})
+	}
+}
+
+// TestOpenSchemeFileRejectsNonAdjacentFirstHop rewrites one first-hop index
+// of a v2 Theorem 11 snapshot so that a member claims to be its own first
+// hop although it is not a neighbor of the center. The vicinity tables store
+// the port of that edge, which does not exist, so both load paths must
+// refuse the snapshot at decode rather than fail at route time.
+func TestOpenSchemeFileRejectsNonAdjacentFirstHop(t *testing.T) {
+	const n = 96
+	g, err := compactroute.GNM(n, 4*n, benchSeed, true, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := compactroute.NewTheorem11(g, compactroute.AllPairs(g), compactroute.Options{Eps: 0.5, Seed: benchSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := compactroute.SaveScheme(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// Walk the vicinity section in EncodeSetsV2 order up to the first-hop
+	// index array; Array returns its payload aliasing data.
+	snap, err := wire.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := snap.Decoder("thm11/vicinities")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.FloatSeq(make([]float64, n))
+	offs := d.Uint32Array()
+	memV := d.VertexArray()
+	if tag := d.Byte(); tag != 1 {
+		t.Fatalf("first-hop indexes are not a uint16 array (tag %d)", tag)
+	}
+	raw, c := d.Array(2, 2)
+	if d.Err() != nil || c != len(memV) || len(offs) != n+1 {
+		t.Fatalf("vicinity section layout: err %v, %d indexes for %d members", d.Err(), c, len(memV))
+	}
+	patched := false
+	for u := 0; u < n && !patched; u++ {
+		for k := 0; k < int(offs[u+1]-offs[u]); k++ {
+			if v := memV[int(offs[u])+k]; v != graph.Vertex(u) && !g.HasEdge(graph.Vertex(u), v) {
+				at := 2 * (int(offs[u]) + k)
+				raw[at], raw[at+1] = byte(k), byte(k>>8)
+				patched = true
+				break
+			}
+		}
+	}
+	if !patched {
+		t.Fatal("no vicinity has a member beyond the center's neighbors")
+	}
+	bad := reseal(data)
+	if _, err := compactroute.LoadScheme(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "not adjacent") {
+		t.Fatalf("LoadScheme: got %v, want a non-adjacent first hop error", err)
+	}
+	path := filepath.Join(t.TempDir(), "bad.snap")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := compactroute.OpenSchemeFile(path)
+	if err == nil {
+		sf.Close()
+		t.Fatal("OpenSchemeFile accepted a non-adjacent first hop")
+	}
+	if !strings.Contains(err.Error(), "not adjacent") {
+		t.Fatalf("OpenSchemeFile: got %v, want a non-adjacent first hop error", err)
 	}
 }
